@@ -31,14 +31,8 @@ struct Args {
   std::uint64_t seed = 1;
   int seconds = 10;
   bool trace = false;
-  double rate = 0.0;               // 0 = the workload's fixed offered rate
   std::string work_dir = ".bench_work";
   std::string reference_dir = "mapsbench/reference";
-};
-
-struct MetricValue {
-  double value = 0.0;
-  std::string unit;
 };
 
 /// What one pass of a workload produced.
@@ -47,16 +41,12 @@ struct PassResult {
   std::size_t failed = 0;
   std::vector<std::string> errors;  // failed correctness checks
   double wall_ms = 0.0;             // wall time of the fixed, timed work
-  std::map<std::string, MetricValue> end_to_end;
-  std::map<std::string, MetricValue> layers;
+  std::map<std::string, double> end_to_end;  // units: the tables in main.cpp
+  std::map<std::string, double> layers;
 
   void error(std::string message) { errors.push_back(std::move(message)); }
-  void metric(const std::string& name, double value, const std::string& unit) {
-    end_to_end[name] = {value, unit};
-  }
-  void layer(const std::string& name, double value, const std::string& unit) {
-    layers[name] = {value, unit};
-  }
+  void metric(const std::string& name, double value) { end_to_end[name] = value; }
+  void layer(const std::string& name, double value) { layers[name] = value; }
 };
 
 /// One pass of a workload. With `spans` enabled the pass records harness
@@ -78,7 +68,6 @@ void record_invdes_reference(const std::string& path);
 
 /// The served surrogate: an untrained, seeded FNO at the ROADMAP shape.
 maps::nn::ModelConfig served_model_config();
-maps::serve::WireDefaults wire_defaults();
 
 /// A 64x64 permittivity pattern (silica..silicon, smooth random features).
 std::vector<double> make_pattern(std::uint64_t seed);

@@ -16,6 +16,7 @@
 #include <deque>
 #include <fcntl.h>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 namespace mapsbench {
@@ -47,6 +48,65 @@ double highest_supported_quantile(std::size_t n, double q_max) {
   if (n == 0) return 0.5;
   const double q = std::min(q_max, 1.0 - 10.0 / static_cast<double>(n));
   return q < 0.5 ? 0.5 : q;
+}
+
+namespace {
+
+/// Cumulative (upper bound, count) buckets of histogram `family` in a
+/// Prometheus text page, +Inf last; empty when the family is absent.
+std::vector<std::pair<double, double>> prometheus_buckets(const std::string& page,
+                                                          const std::string& family) {
+  std::vector<std::pair<double, double>> out;
+  const std::string prefix = family + "_bucket{le=\"";
+  std::istringstream in(page);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::size_t q = line.find('"', prefix.size());
+    const std::string le = line.substr(prefix.size(), q - prefix.size());
+    const double bound = le == "+Inf" ? INFINITY : std::atof(le.c_str());
+    out.emplace_back(bound, std::atof(line.c_str() + line.find("} ") + 2));
+  }
+  return out;
+}
+
+/// Samples at or below `bound` in `buckets`: its own line, or the +Inf
+/// total when the page left the bucket out.
+double cumulative_at(const std::vector<std::pair<double, double>>& buckets, double bound) {
+  for (const auto& [le, count] : buckets) {
+    if (le == bound) return count;
+  }
+  return buckets.empty() ? 0.0 : buckets.back().second;
+}
+
+}  // namespace
+
+double window_count(const std::string& before, const std::string& after,
+                    const std::string& family) {
+  return cumulative_at(prometheus_buckets(after, family), INFINITY) -
+         cumulative_at(prometheus_buckets(before, family), INFINITY);
+}
+
+double window_percentile(const std::string& before, const std::string& after,
+                         const std::string& family, double q) {
+  const auto b = prometheus_buckets(before, family);
+  const auto a = prometheus_buckets(after, family);
+  if (a.empty()) return 0.0;
+  auto count_at = [&](std::size_t i) { return a[i].second - cumulative_at(b, a[i].first); };
+  const double total = count_at(a.size() - 1);
+  if (total <= 0) return 0.0;
+  const double rank = q * total;
+  double prev_bound = 0.0, prev_count = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double c = count_at(i);
+    if (c >= rank && c > prev_count) {
+      if (std::isinf(a[i].first)) return prev_bound;
+      return prev_bound + (a[i].first - prev_bound) * (rank - prev_count) / (c - prev_count);
+    }
+    prev_bound = a[i].first;
+    prev_count = c;
+  }
+  return prev_bound;
 }
 
 std::uint64_t SplitMix::next() {

@@ -1,5 +1,6 @@
 // Harness primitives of the MAPS benchmark, independent of the library
-// under test: clocks, the percentile rule, the seeded open-loop arrival
+// under test: clocks, the percentile rule, histogram windows between two
+// Prometheus text scrapes, the seeded open-loop arrival
 // schedule, the open-loop HTTP/1.1 load generator, a blocking keep-alive
 // client, and harness-side spans with self-time accounting.
 #pragma once
@@ -26,6 +27,19 @@ double percentile(std::vector<double> samples, double q);
 /// Highest percentile of `n` samples that `percentile` accepts, capped at
 /// `q_max` (e.g. 0.99 with 1000 samples, 0.95 with 200).
 double highest_supported_quantile(std::size_t n, double q_max);
+
+/// Samples histogram `family` took between two scrapes of a Prometheus text
+/// page (cumulative `<family>_bucket{le="..."}` lines).
+double window_count(const std::string& before, const std::string& after,
+                    const std::string& family);
+
+/// Percentile `q` of the samples histogram `family` took between two
+/// scrapes, interpolated inside the crossing bucket; 0 when the window holds
+/// no samples. Buckets are matched by their `le` bound, not their position:
+/// a page may stop after its last non-empty bucket, so a bound missing from
+/// the earlier page counts that page's +Inf total.
+double window_percentile(const std::string& before, const std::string& after,
+                         const std::string& family, double q);
 
 /// Seeded Poisson arrival schedule: `count` send times in ms from the start
 /// of the run, exponential gaps at `rate_per_s`, conditioned so that the run

@@ -47,7 +47,7 @@ void replay_serve_stages(const std::vector<std::string>& bodies,
                          serve::PredictionService* service,
                          const std::vector<std::string>& submit_bodies,
                          SpanRecorder& spans, PassResult& out) {
-  const serve::WireDefaults defaults = wire_defaults();
+  const serve::WireDefaults defaults{};
   double reply_bytes = 0.0;
   for (std::size_t k = 0; k < bodies.size(); ++k) {
     const std::string id = "replay-" + std::to_string(k);
@@ -79,11 +79,11 @@ void replay_serve_stages(const std::vector<std::string>& bodies,
     ScopedSpan s(spans, "serve.submit", "submit-" + std::to_string(k));
     (void)service->submit(std::move(wr.request)).get();
   }
-  out.layer("net.http_parse_ms", median_self_ms(spans, "net.http_parse"), "ms");
-  out.layer("serve.wire.decode_ms", median_self_ms(spans, "serve.wire.decode"), "ms");
-  out.layer("serve.wire.encode_ms", median_self_ms(spans, "serve.wire.encode"), "ms");
-  out.layer("serve.wire.reply_bytes", reply_bytes, "bytes");
-  out.layer("serve.submit_ms", median_self_ms(spans, "serve.submit"), "ms");
+  out.layer("net.http_parse_ms", median_self_ms(spans, "net.http_parse"));
+  out.layer("serve.wire.decode_ms", median_self_ms(spans, "serve.wire.decode"));
+  out.layer("serve.wire.encode_ms", median_self_ms(spans, "serve.wire.encode"));
+  out.layer("serve.wire.reply_bytes", reply_bytes);
+  out.layer("serve.submit_ms", median_self_ms(spans, "serve.submit"));
 }
 
 void replay_compute_layers(const Args& args, SpanRecorder& spans, PassResult& out) {
@@ -110,16 +110,15 @@ void replay_compute_layers(const Args& args, SpanRecorder& spans, PassResult& ou
       ScopedSpan s(spans, "nn.spectral");
       (void)layer.infer(xs);
     }
-    out.layer("nn.infer_ms.b1", median_self_ms(spans, "nn.infer.b1"), "ms");
-    out.layer("nn.infer_ms_per_sample.b8", median_self_ms(spans, "nn.infer.b8") / 8.0, "ms");
-    out.layer("nn.spectral_ms", median_self_ms(spans, "nn.spectral"), "ms");
+    out.layer("nn.infer_ms.b1", median_self_ms(spans, "nn.infer.b1"));
+    out.layer("nn.infer_ms_per_sample.b8", median_self_ms(spans, "nn.infer.b8") / 8.0);
+    out.layer("nn.spectral_ms", median_self_ms(spans, "nn.spectral"));
     // Computed from the shapes, not counted: 5 N log2 N per complex FFT2 of
     // an N-point plane (c_in forward, c_out inverse) plus 8 flops per complex
     // multiply-add of the mode mixing over both retained corners.
     const double n = static_cast<double>(kGrid) * kGrid;
     const double c = static_cast<double>(cfg.width), m = static_cast<double>(cfg.modes);
-    out.layer("nn.spectral.flops", 5.0 * n * std::log2(n) * 2.0 * c + 8.0 * 2.0 * m * m * c * c,
-              "flop");
+    out.layer("nn.spectral.flops", 5.0 * n * std::log2(n) * 2.0 * c + 8.0 * 2.0 * m * m * c * c);
   }
 
   // fdfd / solver / datagen stages on the 64x64 bend problem.
@@ -147,9 +146,9 @@ void replay_compute_layers(const Args& args, SpanRecorder& spans, PassResult& ou
         (void)sim->solve(exc.J);
       }
     }
-    out.layer("fdfd.assemble_ms", median_self_ms(spans, "fdfd.assemble"), "ms");
-    out.layer("solver.factorize_ms", median_self_ms(spans, "solver.factorize"), "ms");
-    out.layer("solver.solve_ms", median_self_ms(spans, "solver.solve"), "ms");
+    out.layer("fdfd.assemble_ms", median_self_ms(spans, "fdfd.assemble"));
+    out.layer("solver.factorize_ms", median_self_ms(spans, "solver.factorize"));
+    out.layer("solver.solve_ms", median_self_ms(spans, "solver.solve"));
   }
   for (std::size_t i = 0; i < patterns.densities.size(); ++i) {
     data::PreparedPattern prepared;
@@ -160,8 +159,8 @@ void replay_compute_layers(const Args& args, SpanRecorder& spans, PassResult& ou
     ScopedSpan s(spans, i == 0 ? "warm" : "datagen.solve");
     (void)data::solve_prepared(device, prepared, patterns.strategy);
   }
-  out.layer("datagen.prep_ms", median_self_ms(spans, "datagen.prep"), "ms");
-  out.layer("datagen.solve_ms", median_self_ms(spans, "datagen.solve"), "ms");
+  out.layer("datagen.prep_ms", median_self_ms(spans, "datagen.prep"));
+  out.layer("datagen.solve_ms", median_self_ms(spans, "datagen.solve"));
 
   // The invdes job's optimizer steps, in process, without the jobs layer:
   // every step of a whole job, since step cost changes along the projection
@@ -169,8 +168,7 @@ void replay_compute_layers(const Args& args, SpanRecorder& spans, PassResult& ou
   {
     (void)run_invdes_in_process(invdes_seed_pool()[0], spans);
     const std::vector<double> steps = self_times_of(spans.spans(), "invdes.step");
-    out.layer("invdes.step_ms", std::accumulate(steps.begin(), steps.end(), 0.0) / steps.size(),
-              "ms");
+    out.layer("invdes.step_ms", std::accumulate(steps.begin(), steps.end(), 0.0) / steps.size());
   }
 
   // Shard commit-journal appends.
@@ -185,7 +183,7 @@ void replay_compute_layers(const Args& args, SpanRecorder& spans, PassResult& ou
       }
     }
     std::filesystem::remove(path);
-    out.layer("shard.append_ms", median_self_ms(spans, "shard.append"), "ms");
+    out.layer("shard.append_ms", median_self_ms(spans, "shard.append"));
   }
 }
 

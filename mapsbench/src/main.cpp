@@ -2,7 +2,7 @@
 //
 //   maps_bench --workload <predict_hot|predict_cold|invdes_job|datagen>
 //              --seed <n> --seconds <s> --trace <0|1>
-//              [--rate <req/s>] [--work-dir <dir>] [--reference-dir <dir>]
+//              [--work-dir <dir>] [--reference-dir <dir>]
 //   maps_bench --record-invdes-reference <path>
 //
 // --trace 0 prints the end-to-end metrics of one untraced pass. --trace 1
@@ -74,7 +74,7 @@ const char* const kScrubbed[] = {"MAPS_FAULTS", "MAPS_SLOW_REQUEST_MS", "MAPS_SO
 int usage() {
   std::fprintf(stderr,
                "usage: maps_bench --workload <predict_hot|predict_cold|invdes_job|datagen> "
-               "--seed <n> --seconds <s> --trace <0|1> [--rate <r>] [--work-dir <d>] "
+               "--seed <n> --seconds <s> --trace <0|1> [--work-dir <d>] "
                "[--reference-dir <d>]\n"
                "       maps_bench --record-invdes-reference <path>\n");
   return 2;
@@ -89,7 +89,7 @@ PassResult run_pass(const Args& args, SpanRecorder& spans) {
 
 std::string format_result(bool correct, std::size_t attempted, std::size_t failed,
                           const std::vector<std::pair<const char*, const char*>>& names,
-                          const std::map<std::string, MetricValue>& values) {
+                          const std::map<std::string, double>& values) {
   std::string out = "{\"correct\": ";
   out += correct ? "true" : "false";
   out += ", \"attempted\": " + std::to_string(attempted) +
@@ -97,7 +97,7 @@ std::string format_result(bool correct, std::size_t attempted, std::size_t faile
   char num[64];
   for (std::size_t i = 0; i < names.size(); ++i) {
     const auto it = values.find(names[i].first);
-    std::snprintf(num, sizeof(num), "%.17g", it == values.end() ? 0.0 : it->second.value);
+    std::snprintf(num, sizeof(num), "%.17g", it == values.end() ? 0.0 : it->second);
     out += std::string(i ? ", " : "") + "\"" + names[i].first + "\": {\"value\": " + num +
            ", \"unit\": \"" + names[i].second + "\"}";
   }
@@ -128,8 +128,6 @@ int main(int argc, char** argv) {
       args.seconds = std::atoi(v);
     } else if (a == "--trace") {
       args.trace = std::strcmp(v, "1") == 0;
-    } else if (a == "--rate") {
-      args.rate = std::atof(v);
     } else if (a == "--work-dir") {
       args.work_dir = v;
     } else if (a == "--reference-dir") {
@@ -164,7 +162,7 @@ int main(int argc, char** argv) {
                 ".ndjson");
     SpanRecorder off(false);
     const PassResult plain = run_pass(args, off);
-    traced.layer("bench.trace_overhead", traced.wall_ms / plain.wall_ms, "ratio");
+    traced.layer("bench.trace_overhead", traced.wall_ms / plain.wall_ms);
     std::vector<std::string> errors = traced.errors;
     errors.insert(errors.end(), plain.errors.begin(), plain.errors.end());
     for (const std::string& e : errors) std::fprintf(stderr, "check failed: %s\n", e.c_str());

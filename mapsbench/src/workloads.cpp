@@ -64,8 +64,6 @@ nn::ModelConfig served_model_config() {
   return cfg;
 }
 
-serve::WireDefaults wire_defaults() { return serve::WireDefaults{}; }
-
 std::vector<double> make_pattern(std::uint64_t seed) {
   SplitMix rng(seed * 0x9E3779B97F4A7C15ull + 0x1234567ull);
   constexpr double kEpsLo = 2.0736, kEpsHi = 12.1104;  // SiO2, Si at 1.55 um
@@ -143,7 +141,7 @@ struct ServeFixture {
   std::shared_ptr<serve::ModelRegistry> registry = std::make_shared<serve::ModelRegistry>();
   std::unique_ptr<serve::PredictionService> service;
   std::unique_ptr<serve::JobManager> jobs;
-  serve::WireDefaults defaults = wire_defaults();
+  serve::WireDefaults defaults{};
   std::atomic<bool> stop{false};
   std::atomic<int> port{0};
   std::thread thread;
@@ -203,57 +201,6 @@ io::JsonValue get_json(HttpConn& conn, const std::string& target) {
   return io::json_parse(get_text(conn, target));
 }
 
-/// Cumulative (upper bound, count) buckets of histogram `family` in a
-/// /v1/metrics page; empty when the family is not registered.
-std::vector<std::pair<double, double>> prom_buckets(const std::string& page,
-                                                    const std::string& family) {
-  std::vector<std::pair<double, double>> out;
-  const std::string prefix = family + "_bucket{le=\"";
-  std::istringstream in(page);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind(prefix, 0) != 0) continue;
-    const std::size_t q = line.find('"', prefix.size());
-    const std::string le = line.substr(prefix.size(), q - prefix.size());
-    const double bound = le == "+Inf" ? INFINITY : std::atof(le.c_str());
-    out.emplace_back(bound, std::atof(line.c_str() + line.find("} ") + 2));
-  }
-  return out;
-}
-
-/// Percentile q of the samples histogram `family` took between two
-/// /v1/metrics scrapes, interpolated inside its bucket the way the obs
-/// registry does; 0 when the window holds no samples.
-double window_percentile(const std::string& before, const std::string& after,
-                         const std::string& family, double q) {
-  const auto b = prom_buckets(before, family);
-  const auto a = prom_buckets(after, family);
-  if (a.empty()) return 0.0;
-  auto count_at = [&](std::size_t i) { return a[i].second - (b.empty() ? 0.0 : b[i].second); };
-  const double total = count_at(a.size() - 1);
-  if (total <= 0) return 0.0;
-  const double rank = q * total;
-  double prev_bound = 0.0, prev_count = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double c = count_at(i);
-    if (c >= rank && c > prev_count) {
-      if (std::isinf(a[i].first)) return prev_bound;
-      return prev_bound + (a[i].first - prev_bound) * (rank - prev_count) / (c - prev_count);
-    }
-    prev_bound = a[i].first;
-    prev_count = c;
-  }
-  return prev_bound;
-}
-
-/// Samples histogram `family` took between two /v1/metrics scrapes.
-double window_count(const std::string& before, const std::string& after,
-                    const std::string& family) {
-  const auto b = prom_buckets(before, family);
-  const auto a = prom_buckets(after, family);
-  return (a.empty() ? 0.0 : a.back().second) - (b.empty() ? 0.0 : b.back().second);
-}
-
 /// The field object of a /v1/predict reply (keys are emitted sorted, so it
 /// sits between "escalated" and "id").
 std::string_view field_of(std::string_view body) {
@@ -303,7 +250,7 @@ void record_client_spans(SpanRecorder& spans, const OpenLoopResult& r,
 
 PassResult run_predict(const Args& args, bool hot, SpanRecorder& spans) {
   PassResult out;
-  const double rate = args.rate > 0 ? args.rate : (hot ? kHotRate : kColdRate);
+  const double rate = hot ? kHotRate : kColdRate;
   const std::size_t n =
       std::max(kMinRequests, static_cast<std::size_t>(std::llround(rate * args.seconds)));
 
@@ -390,19 +337,20 @@ PassResult run_predict(const Args& args, bool hot, SpanRecorder& spans) {
 
   const io::JsonValue after = get_json(scrape, "/v1/stats");
   const std::string metrics_after = get_text(scrape, "/v1/metrics");
+  // Peak RSS of the workload itself, before the checker's direct solves.
+  out.metric("peak_rss_mb", peak_rss_mb());
 
   // Cold: sampled replies must equal a direct Module::infer of the served
   // model (surrogate) or a direct fdfd::Simulation solve (fidelity high).
   if (!hot) {
     const auto model = fx->registry->active();
-    const serve::WireDefaults defaults = wire_defaults();
     std::size_t checked_low = 0, checked_high = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (std::isnan(rms[i])) continue;
       const bool sample = high[i] ? (i / 5) % 4 == 0 && checked_high < 6
                                   : i % 13 == 0 && checked_low < 16;
       if (!sample) continue;
-      const serve::WireRequest wr = serve::parse_request(io::json_parse(bodies[i]), defaults);
+      const serve::WireRequest wr = serve::parse_request(io::json_parse(bodies[i]), fx->defaults);
       double direct = 0.0;
       if (high[i]) {
         fdfd::SimOptions so;
@@ -436,11 +384,11 @@ PassResult run_predict(const Args& args, bool hot, SpanRecorder& spans) {
     late.push_back(res.lateness_ms[i]);
   }
   if (lat.size() >= kMinRequests) {
-    out.metric("latency_p50_ms", percentile(lat, 0.5), "ms");
-    out.layer("bench.latency_p90_ms", percentile(lat, 0.9), "ms");
+    out.metric("latency_p50_ms", percentile(lat, 0.5));
+    out.layer("bench.latency_p90_ms", percentile(lat, 0.9));
   }
-  out.metric("setup_s", median(setups), "s");
-  out.metric("throughput_per_s", static_cast<double>(lat.size()) / (res.wall_ms / 1000.0), "1/s");
+  out.metric("setup_s", median(setups));
+  out.metric("throughput_per_s", static_cast<double>(lat.size()) / (res.wall_ms / 1000.0));
 
   if (spans.enabled()) {
     std::ofstream(args.work_dir + "/metrics-" + args.workload + ".prom") << metrics_after;
@@ -454,21 +402,19 @@ PassResult run_predict(const Args& args, bool hot, SpanRecorder& spans) {
     const double batched = num_or(after, "avg_batch") * num_or(after, "batches") -
                            num_or(before, "avg_batch") * num_or(before, "batches");
     out.layer("serve.cache.hit_ratio",
-              delta("requests") > 0 ? delta("cache_hits") / delta("requests") : 0.0, "ratio");
-    out.layer("serve.cache.lookup_ms", window_p50("maps_serve_cache_lookup_ms"), "ms");
-    out.layer("serve.batcher.mean_batch", delta("batches") > 0 ? batched / delta("batches") : 0.0,
-              "count");
-    out.layer("serve.batcher.queue_ms", window_p50("maps_serve_batch_queue_ms"), "ms");
+              delta("requests") > 0 ? delta("cache_hits") / delta("requests") : 0.0);
+    out.layer("serve.cache.lookup_ms", window_p50("maps_serve_cache_lookup_ms"));
+    out.layer("serve.batcher.mean_batch", delta("batches") > 0 ? batched / delta("batches") : 0.0);
+    out.layer("serve.batcher.queue_ms", window_p50("maps_serve_batch_queue_ms"));
     out.layer("serve.unattributed_ms",
               percentile(lat, 0.5) - window_p50("maps_serve_ingress_parse_ms") -
-                  window_p50("maps_serve_request_total_ms"),
-              "ms");
+                  window_p50("maps_serve_request_total_ms"));
     out.layer("solver.factorizations_per_op",
-              window_count(metrics_before, metrics_after, "maps_solver_factorize_ms") / n, "count");
+              window_count(metrics_before, metrics_after, "maps_solver_factorize_ms") / n);
     out.layer("solver.solves_per_op",
-              window_count(metrics_before, metrics_after, "maps_solver_solve_ms") / n, "count");
-    out.layer("solver.refine_iterations", delta("solver_refine_iterations"), "count");
-    out.layer("bench.lateness_ms", percentile(late, highest_supported_quantile(n, 0.99)), "ms");
+              window_count(metrics_before, metrics_after, "maps_solver_solve_ms") / n);
+    out.layer("solver.refine_iterations", delta("solver_refine_iterations"));
+    out.layer("bench.lateness_ms", percentile(late, highest_supported_quantile(n, 0.99)));
 
     // Replays: the first 16 distinct request bodies; submit replays hit the
     // cache on the hot workload and run fresh misses on the cold one.
@@ -484,7 +430,6 @@ PassResult run_predict(const Args& args, bool hot, SpanRecorder& spans) {
     replay_compute_layers(args, spans, out);
   }
   fx.reset();
-  out.metric("peak_rss_mb", peak_rss_mb(), "MB");
   return out;
 }
 
@@ -585,33 +530,33 @@ PassResult run_invdes(const Args& args, SpanRecorder& spans) {
     }
   }
   out.wall_ms = now_ms() - start;
+  out.metric("peak_rss_mb", peak_rss_mb());
   const io::JsonValue stats = get_json(conn, "/v1/stats");
   const std::string metrics_after = get_text(conn, "/v1/metrics");
 
   const double steps = static_cast<double>(job_ms.size()) * kInvdesIterations;
-  out.metric("setup_s", median(setups), "s");
-  if (!job_ms.empty()) out.metric("latency_p50_ms", percentile(job_ms, 0.5), "ms");
+  out.metric("setup_s", median(setups));
+  if (!job_ms.empty()) out.metric("latency_p50_ms", percentile(job_ms, 0.5));
   // Too few jobs in a run for a job p90 (10 samples beyond it): the p90 is
   // taken over the run's optimizer steps, from the server's jobs.step_ms
   // histogram.
   out.layer("bench.latency_p90_ms",
-             window_percentile(metrics_before, metrics_after, "maps_jobs_step_ms", 0.9), "ms");
-  out.metric("throughput_per_s", steps / (out.wall_ms / 1000.0), "1/s");
+             window_percentile(metrics_before, metrics_after, "maps_jobs_step_ms", 0.9));
+  out.metric("throughput_per_s", steps / (out.wall_ms / 1000.0));
 
   if (spans.enabled()) {
     replay_serve_stages(standard_replay_bodies(args.seed), nullptr, {}, spans, out);
     replay_compute_layers(args, spans, out);
-    const double step_ms = out.layers["invdes.step_ms"].value;
+    const double step_ms = out.layers["invdes.step_ms"];
     out.layer("jobs.overhead_ms_per_step",
-              steps > 0 ? median(job_ms) / kInvdesIterations - step_ms : 0.0, "ms");
+              steps > 0 ? median(job_ms) / kInvdesIterations - step_ms : 0.0);
     out.layer("jobs.journal_bytes_per_step",
-              journal_steps > 0 ? journal_bytes / journal_steps : 0.0, "bytes");
-    out.layer("solver.factorizations_per_op", steps > 0 ? factorizations / steps : 0.0, "count");
-    out.layer("solver.solves_per_op", steps > 0 ? solves / steps : 0.0, "count");
-    out.layer("solver.refine_iterations", num_or(stats, "solver_refine_iterations"), "count");
+              journal_steps > 0 ? journal_bytes / journal_steps : 0.0);
+    out.layer("solver.factorizations_per_op", steps > 0 ? factorizations / steps : 0.0);
+    out.layer("solver.solves_per_op", steps > 0 ? solves / steps : 0.0);
+    out.layer("solver.refine_iterations", num_or(stats, "solver_refine_iterations"));
   }
   fx.reset();
-  out.metric("peak_rss_mb", peak_rss_mb(), "MB");
   return out;
 }
 
@@ -665,8 +610,17 @@ PassResult run_datagen(const Args& args, SpanRecorder& spans) {
       1, static_cast<std::size_t>(std::llround(args.seconds * kDatagenPatternsPerSecond /
                                                kDatagenBatchPatterns)));
   const std::string name = "bending/random";
-  const std::string output = args.work_dir + "/datagen.mapsd";
+  auto merged_path = [&](std::size_t b) {
+    return args.work_dir + "/datagen-" + std::to_string(b) + ".mapsd";
+  };
   const std::string unsharded = args.work_dir + "/datagen-unsharded.mapsd";
+  auto remove_shard_files = [](const std::string& output) {
+    for (int i = 0; i < 2; ++i) {
+      fs::remove(runtime::shard_part_path(output, i, 2));
+      fs::remove(runtime::shard_manifest_path(output, i, 2));
+      fs::remove(runtime::shard_journal_path(output, i, 2));
+    }
+  };
 
   // Set-up: device build and a 2-pattern warm-up generation, repeated.
   std::optional<devices::DeviceProblem> device;
@@ -696,24 +650,22 @@ PassResult run_datagen(const Args& args, SpanRecorder& spans) {
     sets.push_back(data::sample_patterns(*device, devices::DeviceKind::Bend, so));
   }
 
-  // Timed: per batch, two shards back to back, then the merge. Each batch
-  // is checked outside the timed region: exact sample count, and the merged
-  // file byte-identical to an unsharded pipelined save of the same patterns.
+  // Timed: per batch, two shards back to back, then the merge. Each merged
+  // file is kept and checked after the timed work and the peak RSS read:
+  // exact sample count, and byte-identity to an unsharded pipelined save of
+  // the same patterns.
   std::vector<double> intervals;
   std::size_t samples = 0, patterns_done = 0;
   int factorizations = 0, solves = 0, refine = 0;
   std::vector<double> merge_ms;
+  std::vector<std::size_t> batch_samples(batches, 0), merged(batches, 0);
   for (std::size_t b = 0; b < batches; ++b) {
     const std::vector<runtime::DatagenPhase> phases = {{&*device, &sets[b], 1}};
-    for (int i = 0; i < 2; ++i) {
-      fs::remove(runtime::shard_part_path(output, i, 2));
-      fs::remove(runtime::shard_manifest_path(output, i, 2));
-      fs::remove(runtime::shard_journal_path(output, i, 2));
-    }
+    const std::string output = merged_path(b);
+    remove_shard_files(output);
     fs::remove(output);
 
     const double start = now_ms();
-    std::size_t batch_samples = 0;
     for (int i = 0; i < 2; ++i) {
       const int sspan = spans.begin("datagen.shard", std::to_string(b) + "/" + std::to_string(i));
       runtime::DatagenOptions opts;
@@ -732,7 +684,7 @@ PassResult run_datagen(const Args& args, SpanRecorder& spans) {
         }
       };
       const runtime::DatagenStats st = runtime::generate_sharded(phases, name, output, opts);
-      batch_samples += st.samples;
+      batch_samples[b] += st.samples;
       factorizations += st.factorizations;
       solves += st.solves;
       refine += st.refine_iterations;
@@ -740,49 +692,52 @@ PassResult run_datagen(const Args& args, SpanRecorder& spans) {
     }
     const double m0 = now_ms();
     const int mspan = spans.begin("shard.merge", std::to_string(b));
-    const std::size_t merged = runtime::merge_shards(output, 2).size();
+    merged[b] = runtime::merge_shards(output, 2).size();
     spans.end(mspan);
     merge_ms.push_back(now_ms() - m0);
     out.wall_ms += now_ms() - start;
     out.attempted += sets[b].densities.size();
-    samples += batch_samples;
+    samples += batch_samples[b];
     patterns_done += sets[b].densities.size();
+    remove_shard_files(output);
+  }
+  out.metric("peak_rss_mb", peak_rss_mb());
 
+  for (std::size_t b = 0; b < batches; ++b) {
     const std::size_t expected = sets[b].densities.size() * device->excitations.size();
-    bool ok = batch_samples == expected && merged == expected;
+    bool ok = batch_samples[b] == expected && merged[b] == expected;
     if (!ok) {
-      out.error("batch " + std::to_string(b) + ": " + std::to_string(batch_samples) +
-                " samples (merged " + std::to_string(merged) + "), expected " +
+      out.error("batch " + std::to_string(b) + ": " + std::to_string(batch_samples[b]) +
+                " samples (merged " + std::to_string(merged[b]) + "), expected " +
                 std::to_string(expected));
     }
     runtime::DatagenOptions ro;
     ro.workers = kDatagenWorkers;
     ro.progress_every_s = 0;
-    runtime::generate_pipelined(phases, name, ro).save(unsharded);
-    if (slurp(output) != slurp(unsharded)) {
+    runtime::generate_pipelined({{&*device, &sets[b], 1}}, name, ro).save(unsharded);
+    if (slurp(merged_path(b)) != slurp(unsharded)) {
       ok = false;
       out.error("batch " + std::to_string(b) + ": merged shards differ from the unsharded save");
     }
     if (!ok) out.failed += sets[b].densities.size();
+    fs::remove(merged_path(b));
   }
 
-  out.metric("setup_s", median(setups), "s");
-  out.metric("latency_p50_ms", percentile(intervals, 0.5), "ms");
-  out.layer("bench.latency_p90_ms", percentile(intervals, 0.9), "ms");
-  out.metric("throughput_per_s", static_cast<double>(samples) / (out.wall_ms / 1000.0), "1/s");
+  out.metric("setup_s", median(setups));
+  out.metric("latency_p50_ms", percentile(intervals, 0.5));
+  out.layer("bench.latency_p90_ms", percentile(intervals, 0.9));
+  out.metric("throughput_per_s", static_cast<double>(samples) / (out.wall_ms / 1000.0));
 
   if (spans.enabled()) {
     replay_serve_stages(standard_replay_bodies(args.seed), nullptr, {}, spans, out);
     replay_compute_layers(args, spans, out);
-    const double per_pattern =
-        out.layers["datagen.prep_ms"].value + out.layers["datagen.solve_ms"].value;
+    const double per_pattern = out.layers["datagen.prep_ms"] + out.layers["datagen.solve_ms"];
     out.layer("datagen.parallel_efficiency",
-              static_cast<double>(patterns_done) * per_pattern / (kDatagenWorkers * out.wall_ms),
-              "ratio");
-    out.layer("shard.merge_s", median(merge_ms) / 1000.0, "s");
-    out.layer("solver.factorizations_per_op", static_cast<double>(factorizations) / samples, "count");
-    out.layer("solver.solves_per_op", static_cast<double>(solves) / samples, "count");
-    out.layer("solver.refine_iterations", refine, "count");
+              static_cast<double>(patterns_done) * per_pattern / (kDatagenWorkers * out.wall_ms));
+    out.layer("shard.merge_s", median(merge_ms) / 1000.0);
+    out.layer("solver.factorizations_per_op", static_cast<double>(factorizations) / samples);
+    out.layer("solver.solves_per_op", static_cast<double>(solves) / samples);
+    out.layer("solver.refine_iterations", refine);
     // The plain reference generator on the first 24 patterns of batch 0.
     data::PatternSet sub = sets[0];
     sub.densities.resize(std::min<std::size_t>(24, sub.densities.size()));
@@ -791,17 +746,10 @@ PassResult run_datagen(const Args& args, SpanRecorder& spans) {
     const std::size_t ref_samples = data::generate_dataset_reference(*device, sub).size();
     spans.end(rspan);
     out.layer("datagen.reference_samples_per_s",
-              static_cast<double>(ref_samples) / (median_self_ms(spans, "datagen.reference") / 1000.0),
-              "1/s");
+              static_cast<double>(ref_samples) / (median_self_ms(spans, "datagen.reference") / 1000.0));
   }
-  out.metric("peak_rss_mb", peak_rss_mb(), "MB");
   // Leave no dirty pages behind for the next run to write back.
-  for (const std::string& f : {output, unsharded}) fs::remove(f);
-  for (int i = 0; i < 2; ++i) {
-    fs::remove(runtime::shard_part_path(output, i, 2));
-    fs::remove(runtime::shard_manifest_path(output, i, 2));
-    fs::remove(runtime::shard_journal_path(output, i, 2));
-  }
+  fs::remove(unsharded);
   ::sync();
   return out;
 }

@@ -1,6 +1,6 @@
 // Tests of the harness primitives: the arrival schedule, coordinated-
-// omission accounting of the open-loop generator, the percentile rule and
-// span self time.
+// omission accounting of the open-loop generator, the percentile rule,
+// histogram windows between two metric scrapes and span self time.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -48,6 +48,28 @@ TEST(Percentile, RefusesFewerThanTenSamplesBeyond) {
   EXPECT_DOUBLE_EQ(highest_supported_quantile(1000, 0.99), 0.99);
   EXPECT_DOUBLE_EQ(highest_supported_quantile(200, 0.99), 0.95);
   EXPECT_DOUBLE_EQ(highest_supported_quantile(5, 0.99), 0.5);
+}
+
+TEST(ScrapeWindow, MatchesBucketsByBoundWhenTheLaterPageHasMore) {
+  // The earlier page stops after its last non-empty bucket; the timed
+  // window then adds 3 samples in (0.0014, 0.002] and 7 in (0.002, 0.0028].
+  const std::string before =
+      "maps_x_bucket{le=\"0.001\"} 0\n"
+      "maps_x_bucket{le=\"0.0014\"} 2\n"
+      "maps_x_bucket{le=\"+Inf\"} 2\n";
+  const std::string after =
+      "maps_x_bucket{le=\"0.001\"} 0\n"
+      "maps_x_bucket{le=\"0.0014\"} 2\n"
+      "maps_x_bucket{le=\"0.002\"} 5\n"
+      "maps_x_bucket{le=\"0.0028\"} 12\n"
+      "maps_x_bucket{le=\"+Inf\"} 12\n";
+  EXPECT_DOUBLE_EQ(window_count(before, after, "maps_x"), 10.0);
+  EXPECT_DOUBLE_EQ(window_percentile(before, after, "maps_x", 0.5),
+                   0.002 + (0.0028 - 0.002) * (5.0 - 3.0) / (10.0 - 3.0));
+  EXPECT_DOUBLE_EQ(window_percentile(before, after, "maps_x", 0.2),
+                   0.0014 + (0.002 - 0.0014) * 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(window_percentile(after, after, "maps_x", 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(window_percentile("", after, "maps_y", 0.5), 0.0);
 }
 
 TEST(Spans, SelfTimeSubtractsChildCoverageOnce) {
