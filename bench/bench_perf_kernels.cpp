@@ -1,11 +1,10 @@
-// google-benchmark microbenchmarks for the numerical substrates: banded LU,
-// FDFD assembly, FFT, GEMM, spectral/standard convolution (direct reference
+// google-benchmark microbenchmarks for the numerical substrates: FDFD
+// assembly, FFT, GEMM, spectral/standard convolution (direct reference
 // vs im2col+GEMM), blur, mode solver, and an end-to-end NN training step.
 #include <benchmark/benchmark.h>
 
 #include "fdfd/assembler.hpp"
 #include "fdfd/mode_solver.hpp"
-#include "math/banded.hpp"
 #include "math/fft.hpp"
 #include "math/gemm.hpp"
 #include "math/rng.hpp"
@@ -16,20 +15,6 @@
 #include "param/blur.hpp"
 
 using namespace maps;
-
-namespace {
-
-fdfd::FdfdOperator make_op(index_t n) {
-  grid::GridSpec spec{n, n, 0.1};
-  math::Rng rng(3);
-  math::RealGrid eps(n, n);
-  for (index_t k = 0; k < eps.size(); ++k) eps[k] = 2.0 + 10.0 * rng.uniform();
-  fdfd::PmlSpec pml;
-  pml.ncells = static_cast<int>(n / 8);
-  return fdfd::assemble(spec, eps, 4.05, pml);
-}
-
-}  // namespace
 
 static void BM_FdfdAssemble(benchmark::State& state) {
   const index_t n = state.range(0);
@@ -42,69 +27,6 @@ static void BM_FdfdAssemble(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FdfdAssemble)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
-
-static void BM_BandedFactorize(benchmark::State& state) {
-  const index_t n = state.range(0);
-  const auto op = make_op(n);
-  for (auto _ : state) {
-    auto band = math::to_band(op.A);
-    band.factorize();
-    benchmark::DoNotOptimize(band);
-  }
-}
-BENCHMARK(BM_BandedFactorize)->Arg(32)->Arg(64)->Arg(96)->Arg(128)
-    ->Unit(benchmark::kMillisecond);
-
-static void BM_BandedTriangularSolve(benchmark::State& state) {
-  const index_t n = state.range(0);
-  const auto op = make_op(n);
-  auto band = math::to_band(op.A);
-  band.factorize();
-  std::vector<cplx> b(static_cast<std::size_t>(n * n), cplx{1.0, 0.5});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(band.solve(b));
-  }
-}
-BENCHMARK(BM_BandedTriangularSolve)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
-
-static void BM_BandedSolveLoop8(benchmark::State& state) {
-  // Baseline for the multi-RHS kernel: 8 independent solve passes, each
-  // streaming the full band array.
-  const index_t n = state.range(0);
-  const auto op = make_op(n);
-  auto band = math::to_band(op.A);
-  band.factorize();
-  std::vector<std::vector<cplx>> bs(8);
-  math::Rng rng(21);
-  for (auto& b : bs) {
-    b.resize(static_cast<std::size_t>(n * n));
-    for (auto& v : b) v = {rng.uniform(), rng.uniform()};
-  }
-  for (auto _ : state) {
-    for (const auto& b : bs) benchmark::DoNotOptimize(band.solve(b));
-  }
-}
-BENCHMARK(BM_BandedSolveLoop8)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
-
-static void BM_BandedSolveMulti8(benchmark::State& state) {
-  // The batched kernel: one sweep over the factors applied to all 8 RHS.
-  const index_t n = state.range(0);
-  const auto op = make_op(n);
-  auto band = math::to_band(op.A);
-  band.factorize();
-  std::vector<std::vector<cplx>> bs(8);
-  math::Rng rng(21);
-  for (auto& b : bs) {
-    b.resize(static_cast<std::size_t>(n * n));
-    for (auto& v : b) v = {rng.uniform(), rng.uniform()};
-  }
-  for (auto _ : state) {
-    auto work = bs;
-    band.solve_multi_inplace(work);
-    benchmark::DoNotOptimize(work);
-  }
-}
-BENCHMARK(BM_BandedSolveMulti8)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
 static void BM_Fft2(benchmark::State& state) {
   const index_t n = state.range(0);

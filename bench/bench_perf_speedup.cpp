@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -210,14 +209,15 @@ namespace {
 // Full S-parameter pass over the bend device's excitations at three
 // wavelengths: one assembly + factorization + solve per (excitation,
 // lambda) — the verification sweep that follows every inverse-design run.
-// Shared by the split and interleaved variants so the ratio the CI perf
-// gate tracks cannot drift from a one-sided edit.
-void sparam_sweep_body(benchmark::State& state) {
+// Shared by the double and mixed variants so the ratio the CI perf gate
+// tracks cannot drift from a one-sided edit.
+void sparam_sweep_body(benchmark::State& state, solver::SolverPrecision precision) {
   std::vector<devices::DeviceProblem> sweep;
   for (const double lambda : {1.50, 1.55, 1.60}) {
     devices::BuildOptions bo;
     bo.lambda = lambda;
     sweep.push_back(devices::make_device(devices::DeviceKind::Bend, bo));
+    sweep.back().sim_options.precision = precision;
   }
   maps::math::RealGrid rho(sweep.front().design_map.box.ni,
                            sweep.front().design_map.box.nj, 0.5);
@@ -231,70 +231,24 @@ void sparam_sweep_body(benchmark::State& state) {
 
 }  // namespace
 
-static void BM_SparamSweep(benchmark::State& state) { sparam_sweep_body(state); }
+static void BM_SparamSweep(benchmark::State& state) {
+  sparam_sweep_body(state, solver::default_solver_precision());
+}
 BENCHMARK(BM_SparamSweep)->Unit(benchmark::kMillisecond);
 
-static void BM_SparamSweepInterleaved(benchmark::State& state) {
-  // The same sweep on the MAPS_SOLVER_INTERLEAVED fallback. The ratio of
-  // this to BM_SparamSweep is the split-kernel speedup measured within one
-  // run — runner-speed-independent, which is what the CI perf gate tracks.
-  // Save/restore the variable so an operator-set value (a whole-suite
-  // interleaved A/B run) survives this benchmark.
-  const char* prev = std::getenv("MAPS_SOLVER_INTERLEAVED");
-  const std::string saved = prev != nullptr ? prev : "";
-  setenv("MAPS_SOLVER_INTERLEAVED", "1", 1);
-  sparam_sweep_body(state);
-  if (prev != nullptr) {
-    setenv("MAPS_SOLVER_INTERLEAVED", saved.c_str(), 1);
-  } else {
-    unsetenv("MAPS_SOLVER_INTERLEAVED");
-  }
-}
-BENCHMARK(BM_SparamSweepInterleaved)->Unit(benchmark::kMillisecond);
-
-namespace {
-
-/// RAII save/set/restore of one environment variable for A/B bench bodies.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* prev = std::getenv(name);
-    had_ = prev != nullptr;
-    if (had_) saved_ = prev;
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string saved_;
-};
-
-}  // namespace
-
 static void BM_SparamSweepMixed(benchmark::State& state) {
-  // The same sweep with MAPS_SOLVER_PRECISION=mixed: every factorization in
-  // the pass runs fp32 + refinement. BM_SparamSweep / this is the
-  // sparam_mixed_vs_double CI gate — the end-to-end mixed-precision win on
-  // the verification workload, measured within one run.
-  ScopedEnv env("MAPS_SOLVER_PRECISION", "mixed");
-  sparam_sweep_body(state);
+  // The same sweep with every factorization in the pass running fp32 +
+  // refinement. BM_SparamSweep / this is the sparam_mixed_vs_double CI gate —
+  // the end-to-end mixed-precision win on the verification workload,
+  // measured within one run.
+  sparam_sweep_body(state, solver::SolverPrecision::Mixed);
 }
 BENCHMARK(BM_SparamSweepMixed)->Unit(benchmark::kMillisecond);
 
-namespace {
-
-// TE (Hz-polarized) full solve: assembly + factorization + one solve, the
-// hot loop of TE-mode studies. Shared by the split/interleaved pair below so
-// the te_split_vs_interleaved CI gate compares identical work.
-void te_solve_body(benchmark::State& state, index_t n) {
+static void BM_TeSolveSplit(benchmark::State& state) {
+  // TE (Hz-polarized) full solve: assembly + factorization + one solve, the
+  // hot loop of TE-mode studies.
+  const index_t n = state.range(0);
   const auto eps = random_eps(n);
   grid::GridSpec spec{n, n, 6.4 / static_cast<double>(n)};
   const auto Mz = fdfd::point_source(spec, n / 4, n / 2);
@@ -305,19 +259,7 @@ void te_solve_body(benchmark::State& state, index_t n) {
     benchmark::DoNotOptimize(sim.solve(Mz));
   }
 }
-
-}  // namespace
-
-static void BM_TeSolveSplit(benchmark::State& state) {
-  te_solve_body(state, state.range(0));
-}
 BENCHMARK(BM_TeSolveSplit)->Arg(64)->Unit(benchmark::kMillisecond);
-
-static void BM_TeSolveInterleaved(benchmark::State& state) {
-  ScopedEnv env("MAPS_SOLVER_INTERLEAVED", "1");
-  te_solve_body(state, state.range(0));
-}
-BENCHMARK(BM_TeSolveInterleaved)->Arg(64)->Unit(benchmark::kMillisecond);
 
 namespace {
 

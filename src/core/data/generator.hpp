@@ -24,8 +24,9 @@ Dataset generate_dataset(const devices::DeviceProblem& device,
                          const PatternSet& patterns);
 
 /// The seed implementation (blocking parallel_for over simulate_pattern,
-/// interleaved-complex direct solver): kept as the regression baseline the
-/// pipelined path is benchmarked against. Labels agree with
+/// each solve through fdfd::Simulation and the cached split-complex direct
+/// backend): kept as the regression baseline the pipelined path is
+/// benchmarked against. Labels agree with
 /// generate_dataset to rounding (~1e-12 relative on fields).
 Dataset generate_dataset_reference(const devices::DeviceProblem& device,
                                    const PatternSet& patterns);

@@ -24,7 +24,7 @@
 #include "fdfd/pml.hpp"
 #include "fdfd/port.hpp"
 #include "grid/yee_grid.hpp"
-#include "math/banded.hpp"
+#include "math/banded_split.hpp"
 #include "math/field2d.hpp"
 
 namespace maps::fdfd {
@@ -68,13 +68,8 @@ class TeSimulation {
   double omega_;
   PmlSpec pml_;
   FdfdOperator op_;
-  // Split-complex banded LU by default; interleaved BandMatrix only under
-  // the MAPS_SOLVER_INTERLEAVED fallback, latched at construction (same
-  // convention as the TM solver layer's DirectBandedBackend, so the
-  // setenv/construct/unsetenv toggle works for both).
-  bool interleaved_ = false;
+  // Split-complex banded LU, factorized on first solve.
   std::optional<maps::math::SplitBandMatrix> split_;
-  std::optional<maps::math::BandMatrix<cplx>> lu_;
 };
 
 /// Quadratic intensity objective T = sum_n w_n |Hz_n|^2 / norm over a box

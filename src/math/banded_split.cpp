@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 namespace maps::math {
-
-bool interleaved_fallback_requested() {
-  const char* env = std::getenv("MAPS_SOLVER_INTERLEAVED");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
 
 namespace {
 

@@ -30,12 +30,6 @@
 
 namespace maps::math {
 
-/// True when the MAPS_SOLVER_INTERLEAVED environment variable requests the
-/// legacy interleaved-complex BandMatrix<cplx> kernel instead of the split
-/// path (any value except unset/empty/"0"). Read per call, so tests and
-/// benches can toggle the fallback with setenv().
-bool interleaved_fallback_requested();
-
 template <typename T>
 class SplitBandMatrixT {
  public:

@@ -80,7 +80,7 @@ TEST(DatagenPipeline, MatchesReferencePath) {
     EXPECT_EQ(b.pattern_id, a.pattern_id);
     EXPECT_EQ(b.excitation, a.excitation);
     EXPECT_EQ(b.fidelity, a.fidelity);
-    // Split-complex vs interleaved kernel: same pivots, rounding-level skew.
+    // Both run the split kernel; batched vs single solves skew at rounding.
     EXPECT_LT(field_rel_err(a.Ez, b.Ez), 1e-10);
     EXPECT_LT(field_rel_err(a.lambda_fwd, b.lambda_fwd), 1e-8);
     ASSERT_EQ(b.transmissions.size(), a.transmissions.size());

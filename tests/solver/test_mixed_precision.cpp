@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "fdfd/simulation.hpp"
 #include "fdfd/source.hpp"
@@ -203,16 +202,6 @@ TEST(MixedPrecision, ProblemKeyIdentityIncludesPrecision) {
   config.precision = ms::SolverPrecision::Mixed;
   const auto key_m = ms::make_problem_key(rig.spec, rig.eps, rig.omega, rig.pml, config);
   EXPECT_FALSE(key_d == key_m);
-
-  // Under the interleaved fallback there is no fp32 kernel, so a mixed
-  // request normalizes to the double precision identity (the key still
-  // differs from key_d by its interleaved flag).
-  setenv("MAPS_SOLVER_INTERLEAVED", "1", 1);
-  const auto key_i =
-      ms::make_problem_key(rig.spec, rig.eps, rig.omega, rig.pml, config);
-  unsetenv("MAPS_SOLVER_INTERLEAVED");
-  EXPECT_EQ(key_i.precision, ms::SolverPrecision::Double);
-  EXPECT_TRUE(key_i.interleaved);
 }
 
 TEST(MixedPrecision, ProblemKeyIdentityIncludesRefinementOptions) {

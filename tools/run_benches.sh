@@ -8,7 +8,7 @@
 #   output_dir  where BENCH_*.json land (default: .)
 #
 # MAPS_BENCH_FILTER can narrow the run, e.g.
-#   MAPS_BENCH_FILTER=Banded tools/run_benches.sh
+#   MAPS_BENCH_FILTER=Fdfd tools/run_benches.sh
 # MAPS_BENCH_MIN_TIME caps per-benchmark sampling time (seconds), e.g.
 #   MAPS_BENCH_MIN_TIME=0.01 for a CI smoke pass that runs ~1 iteration.
 set -euo pipefail
