@@ -445,7 +445,6 @@ ServeConfig ServeConfig::from_json(const JsonValue& v) {
   cfg.fidelity = r.string("fidelity", "low");
   cfg.port = r.integer("port", 0);
   cfg.http = r.boolean("http", false);
-  cfg.max_connections = r.integer("max_connections", -1);
   cfg.report = r.string("report", "");
   cfg.jobs_dir = r.string("jobs_dir", "");
   // A journal directory implies the jobs API: configuring where jobs persist
@@ -473,6 +472,9 @@ ServeConfig ServeConfig::from_json(const JsonValue& v) {
   if (cfg.serve.cache_shards < 1) throw MapsError("serve: cache_shards must be >= 1");
   if (cfg.port < 0 || cfg.port > 65535) {
     throw MapsError("serve: port must be in [0, 65535]");
+  }
+  if (cfg.port > 0 && !cfg.http) {
+    throw MapsError("serve: port requires the HTTP front end (\"http\": true)");
   }
   if (cfg.serve.max_queue_ms < 0.0) {
     throw MapsError("serve: max_queue_ms must be >= 0");
@@ -557,7 +559,6 @@ JsonValue ServeConfig::to_json() const {
   v["fidelity"] = fidelity;
   v["port"] = port;
   v["http"] = http;
-  v["max_connections"] = max_connections;
   if (!report.empty()) v["report"] = report;
   v["jobs"] = jobs;
   if (!jobs_dir.empty()) v["jobs_dir"] = jobs_dir;

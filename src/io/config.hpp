@@ -100,8 +100,9 @@ struct TrainConfig {
 /// normalization constants the input encoder needs. "max_batch" /
 /// "max_delay_ms" tune the micro-batcher, "cache_capacity"/"cache_shards"
 /// the result cache, "workers" the inference worker pool (0 = shared
-/// queue), "port" selects TCP mode (0 = stdin/stdout), and
-/// "escalate_rms_factor" arms the low-confidence solver escalation screen.
+/// queue), "http" + "port" select the HTTP front end (without "http" the
+/// server speaks ndjson on stdin/stdout), and "escalate_rms_factor" arms
+/// the low-confidence solver escalation screen.
 struct ServeConfig {
   nn::ModelConfig model;
   bool wave_prior = false;
@@ -121,12 +122,11 @@ struct ServeConfig {
   double wavelength = 1.55;
   fdfd::PmlSpec pml;
   std::string fidelity = "low";
-  int port = 0;           // 0 = stdio mode (TCP/HTTP: 0 picks a free port)
-  /// Front-end selector: false = ndjson (stdio when port == 0, TCP
-  /// otherwise), true = the event-loop HTTP/1.1 server ("http" key; pair
-  /// with "bind_address" to serve beyond loopback).
+  int port = 0;           // HTTP listening port (0 picks a free one)
+  /// Front-end selector: false = ndjson on stdin/stdout, true = the
+  /// event-loop HTTP/1.1 server ("http" key; pair with "bind_address" to
+  /// serve beyond loopback). A nonzero "port" requires "http": true.
   bool http = false;
-  int max_connections = -1;  // TCP mode: stop after N connections (-1 = run on)
   std::string report;     // optional stats JSON output path
   /// Long-running jobs API (/v1/jobs, HTTP front end only). "jobs" mounts
   /// the endpoints; "jobs_dir" names the manifest/journal directory for

@@ -58,9 +58,9 @@ struct HttpOptions {
   std::size_t max_header_bytes = 64u << 10;  // over it: 431, close
   /// Drain-flag poll period of the loop (ms).
   double tick_ms = 20.0;
-  /// Shared socket front-end knobs: bind_address, max_request_bytes (the
-  /// body cap behind 413), conn_max_inflight (per-connection pipeline
-  /// window), stop, drain_deadline_ms.
+  /// Front-end knobs, most shared with the stdio loop: bind_address,
+  /// max_request_bytes (the body cap behind 413), conn_max_inflight
+  /// (per-connection pipeline window), stop, drain_deadline_ms.
   StreamOptions stream;
   /// Mounts the /v1/jobs routes when non-null (borrowed, must outlive the
   /// server). Shutdown drains it: running jobs journal their checkpoint and

@@ -150,7 +150,8 @@ class JobManager {
   std::string journal_path(const std::string& id) const;
   io::JsonValue manifest_json_locked(const Job& job) const;
   io::JsonValue status_locked(const Job& job) const;
-  void save_manifest(const std::string& id, const io::JsonValue& doc);
+  /// Atomic manifest write with retries; false when every attempt failed.
+  bool save_manifest(const std::string& id, const io::JsonValue& doc);
   void append_journal(const std::string& id, const io::JsonValue& line);
   /// Fold the journal into the manifest and truncate it (terminal states,
   /// resume).

@@ -317,6 +317,26 @@ TEST(Config, ServeJobsKeys) {
                maps::MapsError);
 }
 
+TEST(Config, ServePortRequiresHttp) {
+  // Sockets are served by the HTTP front end only: a port without "http"
+  // fails at parse, pointing at the key that is missing.
+  try {
+    (void)mio::ServeConfig::from_json(mio::json_parse(R"({"port": 8080})"));
+    ADD_FAILURE() << "port without http was accepted";
+  } catch (const maps::MapsError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"http\""), std::string::npos)
+        << e.what();
+  }
+  const auto cfg = mio::ServeConfig::from_json(
+      mio::json_parse(R"({"http": true, "port": 8080})"));
+  EXPECT_TRUE(cfg.http);
+  EXPECT_EQ(cfg.port, 8080);
+  // The connection cap of the removed TCP mode is an unknown key now.
+  EXPECT_THROW(mio::ServeConfig::from_json(
+                   mio::json_parse(R"({"max_connections": 1})")),
+               maps::MapsError);
+}
+
 TEST(Config, SweepJobDefaultsAndValidation) {
   const auto cfg = mio::SweepJobConfig::from_json(mio::json_parse("{}"));
   EXPECT_EQ(cfg.sweep, "corners");

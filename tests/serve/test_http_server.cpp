@@ -1,6 +1,7 @@
 // HTTP/1.1 front end: endpoints, keep-alive pipelining, protocol-edge
-// rejections, slow-loris isolation, in-flight request coalescing, the
-// 1000-idle-connection scalability floor, and graceful drain.
+// rejections, slow-loris isolation, clients vanishing mid-pipeline,
+// in-flight request coalescing, the 1000-idle-connection scalability
+// floor, and graceful drain.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -424,6 +425,42 @@ TEST(HttpServe, SlowLorisPartialHeaderDoesNotStallSiblings) {
     ASSERT_TRUE(good.read_reply(reply));
     EXPECT_EQ(reply.status, 200);
   }
+}
+
+TEST(HttpServe, ClientVanishingMidPipelineLeavesSiblingsAndAccountingIntact) {
+  FaultGuard guard("");
+  HttpHarness h(small_options());
+
+  // Five full-field predicts plus a torn sixth, then gone without reading a
+  // byte: the replies hit a dead socket (MSG_NOSIGNAL keeps that from
+  // raising SIGPIPE and killing this binary).
+  {
+    HttpClient bad(h.port.load());
+    ASSERT_GE(bad.fd, 0);
+    std::string wire;
+    for (int id = 1; id <= 5; ++id) {
+      wire += http_request("POST", "/v1/predict", predict_body(id, 2.0 + id));
+    }
+    const std::string torn = predict_body(6, 8.0);
+    wire += "POST /v1/predict HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+            std::to_string(torn.size()) + "\r\n\r\n" +
+            torn.substr(0, torn.size() / 2);
+    ASSERT_TRUE(bad.send_raw(wire));
+  }
+
+  HttpClient good(h.port.load());
+  ASSERT_GE(good.fd, 0);
+  ASSERT_TRUE(good.send_raw(http_request(
+      "POST", "/v1/predict", predict_body(9, 1.5, ", \"return_field\": false"))));
+  HttpReply reply;
+  ASSERT_TRUE(good.read_reply(reply));
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_EQ(io::json_parse(reply.body).at("id").as_int(), 9);
+
+  h.shutdown();  // joins: serve_http returned on its own
+  const auto stats = h.service.stats();
+  EXPECT_EQ(stats.requests, 6u);
+  EXPECT_EQ(stats.completed, stats.requests);
 }
 
 // --- coalescing --------------------------------------------------------------

@@ -387,6 +387,36 @@ TEST(Jobs, JournalIoFaultsDegradeDurabilityNotTheJob) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Jobs, FailedCompactionKeepsTheJournal) {
+  // Compaction folds the journal into the manifest and then truncates it.
+  // When the manifest save gives up after its retries, the journal is the
+  // only record of the steps since submit: truncating it anyway would
+  // resume the job from step 0.
+  const std::string dir = scratch_dir("failed_compaction");
+  std::string id;
+  {
+    FaultGuard guard("");
+    runtime::TaskQueue queue(2);
+    serve::JobsOptions options;
+    options.journal_dir = dir;
+    serve::JobManager jobs(queue, options);
+    id = jobs.submit(invdes_spec(40));
+    wait_step(jobs, id, 3);
+    fault::arm_from_spec("jobs.journal=io");
+    jobs.drain();  // parks the job: compact() with every save failing
+  }
+  {
+    FaultGuard guard("");
+    runtime::TaskQueue queue(2);
+    serve::JobsOptions options;
+    options.journal_dir = dir;
+    serve::JobManager jobs(queue, options);
+    EXPECT_EQ(jobs.resume_journaled(), 1);
+    EXPECT_GE(jobs.status(id).at("step").as_int(), 3);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Jobs, StepFaultFailsTheJobWithItsMessage) {
   FaultGuard guard("jobs.step=throw@nth:2");
   runtime::TaskQueue queue(2);
