@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
   }
   const double s_seq = t_seq.seconds();
 
-  // Leg 2: the pipelined runtime (prep/solve stage tasks, prepared-band
-  // fast path) + save.
+  // Leg 2: the pipelined runtime (one task per pattern in a bounded,
+  // in-order window; prepared-band fast path) + save.
   runtime::DatagenStats pipe_stats;
   bench::Stopwatch t_pipe;
   {

@@ -224,8 +224,8 @@ Dataset generate_multifidelity(const devices::DeviceProblem& device_lo,
   PatternSet hi_patterns = upsample_patterns(patterns, device_hi);
   const int factor = static_cast<int>(device_hi.spec.nx / device_lo.spec.nx);
 
-  // Both fidelity levels ride one pipeline: the prep stage of the first
-  // high-fidelity pattern overlaps the tail of the low-fidelity solves.
+  // Both fidelity levels ride one pipeline: the first high-fidelity
+  // patterns start while the last low-fidelity ones are still in flight.
   const std::vector<runtime::DatagenPhase> phases = {
       {&device_lo, &patterns, 1}, {&device_hi, &hi_patterns, factor}};
   Dataset ds = runtime::generate_pipelined(

@@ -3,9 +3,9 @@
 // pattern simulated at both resolutions).
 //
 // generate_dataset / generate_multifidelity ride the async pipeline in
-// src/runtime/datagen.hpp (stage-parallel prep -> solve -> collect, with the
-// split-complex prepared-operator fast path for direct solves). The seed
-// per-pattern parallel_for implementation is preserved as
+// src/runtime/datagen.hpp (one task per pattern: prepare -> solve, committed
+// in order, on the split-complex prepared-operator path for direct solves).
+// The seed per-pattern parallel_for implementation is preserved as
 // generate_dataset_reference for equivalence tests and as the baseline of
 // bench_datagen_throughput.
 #pragma once
@@ -31,12 +31,12 @@ Dataset generate_dataset(const devices::DeviceProblem& device,
 Dataset generate_dataset_reference(const devices::DeviceProblem& device,
                                    const PatternSet& patterns);
 
-/// ------------------------- pipeline stage units --------------------------
-/// The runtime pipeline (src/runtime/datagen.cpp) splits a pattern's
-/// simulation into two stages so factorization of pattern i+1 overlaps
-/// back-substitution of pattern i.
+/// -------------------------- pipeline task halves --------------------------
+/// One runtime pipeline task (src/runtime/datagen.cpp) runs prepare_pattern
+/// then solve_prepared for one pattern; the split also lets the per-layer
+/// bench time factorization and back-substitution apart.
 
-/// Stage 1 output: the pattern rendered onto the device grid plus one
+/// prepare_pattern output: the pattern rendered onto the device grid plus one
 /// *factorized* solver backend per excitation group. Direct-solver devices
 /// ride the split-complex band-direct kernel, which is the default
 /// DirectBandedBackend path (solver/direct.hpp).
@@ -53,7 +53,7 @@ PreparedPattern prepare_pattern(const devices::DeviceProblem& device,
                                 const maps::math::RealGrid& density,
                                 std::size_t position, std::uint64_t pattern_id);
 
-/// Stage 2: batched forward + adjoint solves against the prepared backends
+/// Batched forward + adjoint solves against the prepared backends
 /// and label extraction; records in excitation order. Equivalent to
 /// simulate_pattern modulo solver rounding.
 std::vector<SampleRecord> solve_prepared(const devices::DeviceProblem& device,

@@ -63,8 +63,8 @@ struct DataGenConfig {
   SolverSettings solver;
   /// Soft cap on the memory the pipeline's in-flight window may commit to
   /// resident LU factors (MB). 0 keeps the fixed workers+2 window; a budget
-  /// derives max_inflight from the per-pattern factor_bytes() estimate so
-  /// large grids stop over-committing memory.
+  /// clamps that window by the per-pattern factor-byte estimate so large
+  /// grids stop over-committing memory.
   int memory_budget_mb = 0;
   data::SamplerOptions sampler;
   std::string output = "dataset.mapsd";

@@ -64,8 +64,26 @@ solver::CacheStats cache_snapshot(const std::vector<DatagenPhase>& phases) {
   return total;
 }
 
-/// The stage-parallel core: runs every item through prep and solve tasks on
-/// a TaskQueue and hands finished patterns to `commit` in submission order.
+/// Runs one (phase, pattern) block start to finish on the calling worker:
+/// render, assemble, factorize, batched forward + adjoint solves, and the
+/// block's backend counters.
+SolvedPattern solve_block(const DatagenPhase& ph, const WorkItem& w) {
+  const data::PreparedPattern pp = data::prepare_pattern(
+      *ph.device, ph.patterns->densities[w.pos], w.pos, ph.patterns->ids[w.pos]);
+  SolvedPattern sp;
+  sp.records = data::solve_prepared(*ph.device, pp, ph.patterns->strategy);
+  for (auto& r : sp.records) r.fidelity = ph.fidelity_tag;
+  for (const auto& b : pp.group_backends) {
+    sp.factorizations += b->factorization_count();
+    sp.solves += b->solve_count();
+    sp.refine_iterations += b->refinement_iteration_count();
+    sp.refine_fallbacks += b->refinement_fallback_count();
+  }
+  return sp;
+}
+
+/// The pipeline core: one TaskQueue task per item, at most `window` items
+/// outstanding, finished blocks handed to `commit` in submission order.
 void run_pipeline(const std::vector<DatagenPhase>& phases,
                   const std::vector<WorkItem>& items, const DatagenOptions& opts,
                   DatagenStats& stats,
@@ -74,126 +92,68 @@ void run_pipeline(const std::vector<DatagenPhase>& phases,
   const auto cache_before = cache_snapshot(phases);
 
   TaskQueue queue(opts.workers);
-  std::size_t inflight = opts.max_inflight;
-  if (inflight == 0) {
-    inflight = queue.worker_count() + 2;
-    if (opts.memory_budget_mb > 0) {
-      // Clamp the window so its resident prepared factorizations fit the
-      // budget. The estimate is the worst (largest-grid) phase: every window
-      // slot may hold a prepared backend for any phase.
-      std::size_t per_pattern = 0;
-      for (const auto& ph : phases) {
-        per_pattern = std::max(per_pattern,
-                               solver::DirectBandedBackend::estimate_factor_bytes(
-                                   ph.device->spec, ph.device->sim_options.precision));
-      }
-      const std::size_t budget_bytes = opts.memory_budget_mb * (std::size_t{1} << 20);
-      if (per_pattern > 0) {
-        const std::size_t cap = std::max<std::size_t>(1, budget_bytes / per_pattern);
-        if (cap < inflight) {
-          inflight = cap;
-          if (opts.log != nullptr) {
-            obs::log_to(opts.log, obs::LogLevel::Info, "datagen",
-                        "memory budget " + std::to_string(opts.memory_budget_mb) +
-                            " MB caps in-flight window at " +
-                            std::to_string(inflight) + " (est. " +
-                            std::to_string(per_pattern >> 20) + " MB/pattern)");
-          }
+  std::size_t window = queue.worker_count() + 2;
+  if (opts.memory_budget_mb > 0) {
+    // Clamp the window so its blocks' factorizations fit the budget. The
+    // estimate is the worst (largest-grid) phase: any slot may hold any phase.
+    std::size_t per_pattern = 0;
+    for (const auto& ph : phases) {
+      per_pattern = std::max(per_pattern,
+                             solver::DirectBandedBackend::estimate_factor_bytes(
+                                 ph.device->spec, ph.device->sim_options.precision));
+    }
+    const std::size_t budget_bytes = opts.memory_budget_mb * (std::size_t{1} << 20);
+    if (per_pattern > 0) {
+      const std::size_t cap = std::max<std::size_t>(1, budget_bytes / per_pattern);
+      if (cap < window) {
+        window = cap;
+        if (opts.log != nullptr) {
+          obs::log_to(opts.log, obs::LogLevel::Info, "datagen",
+                      "memory budget " + std::to_string(opts.memory_budget_mb) +
+                          " MB caps in-flight window at " + std::to_string(window) +
+                          " (est. " + std::to_string(per_pattern >> 20) +
+                          " MB/pattern)");
         }
       }
     }
   }
 
-  std::deque<std::pair<WorkItem, Future<data::PreparedPattern>>> prep_win;
-  std::deque<std::pair<WorkItem, Future<SolvedPattern>>> solve_win;
+  std::deque<std::pair<WorkItem, Future<SolvedPattern>>> inflight;
   std::size_t next = 0, done = 0;
   auto t_last_progress = t_start;
 
   while (done < items.size()) {
-    // Keep the bounded window full (backpressure: at most `inflight`
-    // patterns hold prepared factorizations at once).
-    while (next < items.size() && prep_win.size() + solve_win.size() < inflight) {
+    while (next < items.size() && inflight.size() < window) {
       const WorkItem w = items[next++];
       const DatagenPhase& ph = phases[static_cast<std::size_t>(w.phase)];
-      prep_win.emplace_back(w, queue.submit([&ph, w] {
-        return data::prepare_pattern(*ph.device, ph.patterns->densities[w.pos], w.pos,
-                                     ph.patterns->ids[w.pos]);
-      }));
+      inflight.emplace_back(w, queue.submit([&ph, w] { return solve_block(ph, w); }));
     }
 
-    // Chain the solve stage of every prepared pattern, not just the oldest:
-    // a straggling prep (e.g. a slow iterative factorization) must not
-    // head-of-line-block the solves of patterns already prepared. Commit
-    // order below follows solve submission order — safe, because the memory
-    // sink scatters by (phase, position) and the shard sink's manifest
-    // records its append order, so final dataset bytes are order-independent.
-    bool chained = false;
-    for (auto it = prep_win.begin(); it != prep_win.end();) {
-      if (!it->second.ready()) {
-        ++it;
-        continue;
-      }
-      auto [w, fut] = std::move(*it);
-      it = prep_win.erase(it);
-      data::PreparedPattern prepared = fut.get();  // rethrows prep failures
-      const DatagenPhase& ph = phases[static_cast<std::size_t>(w.phase)];
-      solve_win.emplace_back(
-          w, queue.submit([&ph, pp = std::move(prepared)]() mutable {
-            SolvedPattern sp;
-            sp.records = data::solve_prepared(*ph.device, pp, ph.patterns->strategy);
-            for (auto& r : sp.records) r.fidelity = ph.fidelity_tag;
-            for (const auto& b : pp.group_backends) {
-              sp.factorizations += b->factorization_count();
-              sp.solves += b->solve_count();
-              sp.refine_iterations += b->refinement_iteration_count();
-              sp.refine_fallbacks += b->refinement_fallback_count();
-            }
-            return sp;
-          }));
-      chained = true;
-    }
-    if (chained) continue;
+    auto [w, fut] = std::move(inflight.front());
+    inflight.pop_front();
+    SolvedPattern sp = fut.get();  // rethrows the block's failure
+    stats.samples += sp.records.size();
+    stats.factorizations += sp.factorizations;
+    stats.solves += sp.solves;
+    stats.refine_iterations += sp.refine_iterations;
+    stats.refine_fallbacks += sp.refine_fallbacks;
+    commit(w, std::move(sp));
+    ++stats.patterns;
+    ++done;
 
-    // Solved pattern ready: commit (oldest-submitted first).
-    if (!solve_win.empty() && solve_win.front().second.ready()) {
-      auto [w, fut] = std::move(solve_win.front());
-      solve_win.pop_front();
-      SolvedPattern sp = fut.get();  // rethrows solve failures
-      stats.samples += sp.records.size();
-      stats.factorizations += sp.factorizations;
-      stats.solves += sp.solves;
-      stats.refine_iterations += sp.refine_iterations;
-      stats.refine_fallbacks += sp.refine_fallbacks;
-      commit(w, std::move(sp));
-      ++stats.patterns;
-      ++done;
-
-      const auto now = Clock::now();
-      stats.seconds = seconds_between(t_start, now);
-      if (opts.log != nullptr && opts.progress_every_s > 0 &&
-          seconds_between(t_last_progress, now) >= opts.progress_every_s &&
-          done < items.size()) {
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "%zu/%zu patterns | %.2f patterns/s | %.1f solves/s",
-                      done, items.size(), stats.patterns_per_s(),
-                      stats.solves_per_s());
-        obs::log_to(opts.log, obs::LogLevel::Info, "datagen", line);
-        t_last_progress = now;
-      }
-      if (opts.after_pattern) opts.after_pattern(done);
-      continue;
+    const auto now = Clock::now();
+    stats.seconds = seconds_between(t_start, now);
+    if (opts.log != nullptr && opts.progress_every_s > 0 &&
+        seconds_between(t_last_progress, now) >= opts.progress_every_s &&
+        done < items.size()) {
+      char line[160];
+      std::snprintf(line, sizeof(line),
+                    "%zu/%zu patterns | %.2f patterns/s | %.1f solves/s", done,
+                    items.size(), stats.patterns_per_s(), stats.solves_per_s());
+      obs::log_to(opts.log, obs::LogLevel::Info, "datagen", line);
+      t_last_progress = now;
     }
-
-    // Nothing ready: block on the oldest outstanding stage. Workers stay
-    // busy on the queued window meanwhile.
-    if (!solve_win.empty()) {
-      solve_win.front().second.wait();
-    } else if (!prep_win.empty()) {
-      prep_win.front().second.wait();
-    } else {
-      break;  // defensive: no work in flight and nothing to submit
-    }
+    if (opts.after_pattern) opts.after_pattern(done);
   }
 
   stats.seconds = seconds_between(t_start, Clock::now());

@@ -1,21 +1,17 @@
-// The async dataset-generation pipeline: stage-parallel, sharded, resumable.
+// The async dataset-generation pipeline: task-parallel, sharded, resumable.
 //
-// Work unit: one (phase, pattern position). Phases are fidelity passes over
-// the same pattern lineup (one phase for a plain dataset, low+high for
-// multi-fidelity pairs). Each unit flows through producer/consumer stages:
-//
-//   prep   task:  pattern render -> operator assembly -> factorization
-//                 (split-complex prepared band backend for direct solves)
-//   solve  task:  batched forward + adjoint multi-RHS solves -> labels
-//   collect (orchestrator thread): in-order scatter into the Dataset, or
-//                 append to the shard .part file + manifest commit
-//
-// prep and solve run as TaskQueue jobs; the orchestrator keeps a bounded
-// window of in-flight patterns (backpressure bounds the resident LU factors)
-// and drains results in submission order, so output order — and therefore
-// file bytes — is deterministic. With W workers, the prep of pattern i+1
-// overlaps the back-substitution of pattern i; with one worker the pipeline
-// degrades to the serial fast path.
+// Work unit: one (phase, pattern position) block. Phases are fidelity passes
+// over the same pattern lineup (one phase for a plain dataset, low+high for
+// multi-fidelity pairs). Each block is one TaskQueue task that renders the
+// pattern, assembles and factorizes its operators (data::prepare_pattern),
+// then runs the batched forward + adjoint multi-RHS solves that produce its
+// labels (data::solve_prepared). The orchestrator thread keeps at most
+// workers + 2 blocks outstanding and commits finished blocks in submission
+// order — an in-order scatter into the Dataset, or an append to the shard
+// .part file + manifest commit — so output order, and therefore file bytes,
+// do not depend on the worker count. A block's factorization is freed when
+// its task returns, so resident LU factors are bounded by the worker count;
+// the window bounds the finished records buffered ahead of the commit.
 //
 // Sharding: ShardPlan round-robins positions; each shard writes
 // `<output>.shard-i-of-N.part` plus a manifest of committed (phase, pattern)
@@ -44,13 +40,12 @@ struct DatagenOptions {
   ShardPlan shard;                 // {0, 1} = the whole job
   bool resume = false;             // skip manifest-committed patterns
   std::size_t workers = 0;         // pipeline task workers; 0 = math::num_threads()
-  std::size_t max_inflight = 0;    // in-flight patterns; 0 = workers + 2
   /// Soft cap (MB) on the factor memory the in-flight window may hold
-  /// resident at once. When set (and max_inflight is 0), the window is
-  /// workers + 2 clamped down so that window * per-pattern factor-byte
-  /// estimate (solver::DirectBandedBackend::estimate_factor_bytes over the
-  /// largest phase grid) stays within the budget — large grids stop
-  /// over-committing memory. Never clamps below 1; 0 disables.
+  /// resident at once. When set, the window of workers + 2 blocks is clamped
+  /// down so that window * per-pattern factor-byte estimate
+  /// (solver::DirectBandedBackend::estimate_factor_bytes over the largest
+  /// phase grid) stays within the budget — large grids stop over-committing
+  /// memory. Never clamps below 1; 0 disables.
   std::size_t memory_budget_mb = 0;
   double progress_every_s = 10.0;  // throughput log cadence; <= 0 disables
   std::ostream* log = nullptr;

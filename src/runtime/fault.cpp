@@ -11,6 +11,16 @@ namespace maps::runtime::fault {
 
 namespace {
 
+// Every fault::point() name compiled into src/. A spec naming anything else
+// is rejected: a stale or misspelled name would arm nothing, and a chaos run
+// would pass without exercising the fault it asked for.
+constexpr std::string_view kPoints[] = {
+    "solver.factorize", "solver.solve",    "solver.iterative", "batcher.run_batch",
+    "registry.load",    "journal.append",  "journal.compact",  "manifest.save",
+    "http.read",        "http.write",      "coalesce.attach",  "jobs.step",
+    "jobs.journal",
+};
+
 enum class Action { Throw, Stall, Io };
 enum class Trigger { Always, Nth, Every, Prob };
 
@@ -144,8 +154,11 @@ std::vector<std::pair<std::string, Point>> parse_spec(const std::string& spec) {
     require(eq != std::string_view::npos && eq > 0 && eq + 1 < entry.size(),
             "MAPS_FAULTS: entry '" + std::string(entry) +
                 "' is not <name>=<action>[@<trigger>]");
-    parsed.emplace_back(std::string(entry.substr(0, eq)),
-                        parse_point(entry, entry.substr(eq + 1)));
+    const std::string_view name = entry.substr(0, eq);
+    require(std::find(std::begin(kPoints), std::end(kPoints), name) != std::end(kPoints),
+            "MAPS_FAULTS: unknown fault point '" + std::string(name) +
+                "' (the registered names are listed in runtime/fault.cpp)");
+    parsed.emplace_back(std::string(name), parse_point(entry, entry.substr(eq + 1)));
   }
   return parsed;
 }

@@ -33,10 +33,8 @@
 // them in the ServeStats JSON so a chaos run can prove each armed fault
 // actually fired.
 //
-// Registered point names in this repo: solver.factorize, solver.solve,
-// solver.iterative, batcher.run_batch, registry.load, journal.append,
-// journal.compact, manifest.save, http.read, http.write, coalesce.attach,
-// jobs.step, jobs.journal.
+// Registered point names: the kPoints list in fault.cpp. A spec that names
+// any other point is rejected as malformed.
 #pragma once
 
 #include <atomic>
@@ -74,7 +72,7 @@ bool point(std::string_view name);
 
 /// Arm every entry of a spec string (see grammar above). Entries add to /
 /// overwrite already-armed points of the same name. Throws MapsError on a
-/// malformed spec. An empty spec arms nothing.
+/// malformed spec or an unregistered point name. An empty spec arms nothing.
 void arm_from_spec(const std::string& spec);
 
 /// Disarm every point (including MAPS_FAULTS-armed ones) and reset counters.

@@ -3,20 +3,19 @@
 //
 // The global ThreadPool runs one blocking parallel_for at a time — the right
 // shape for data-parallel kernels, the wrong one for pipelines that want
-// assembly/factorization of pattern i+1 in flight while pattern i is still
-// in back-substitution. TaskQueue adds that layer: submit(fn) enqueues an
-// opaque job and returns a Future for its result; a fixed set of workers
-// (default: the pool's thread budget, math::num_threads()) drains the queue
-// FIFO. Every worker registers itself with the ThreadPool
-// (register_worker_thread), so library code called from a task runs its
-// nested parallel_for serially instead of contending for the single-task
-// global pool — T workers each running serial kernels preserves the machine's
-// total parallelism.
+// several independent patterns in flight at once. TaskQueue adds that
+// layer: submit(fn) enqueues an opaque job and returns a Future for its
+// result; a fixed set of workers (default: the pool's thread budget,
+// math::num_threads()) drains the queue FIFO. Every worker registers itself
+// with the ThreadPool (register_worker_thread), so library code called from
+// a task runs its nested parallel_for serially instead of contending for the
+// single-task global pool — T workers each running serial kernels preserves
+// the machine's total parallelism.
 //
 // Deadlock rule: a task must never block on the Future of another *queued*
 // task (FIFO workers would starve). The datagen pipeline obeys this by
-// construction — only the orchestrating (non-worker) thread waits on
-// futures; tasks receive their inputs by value.
+// construction — each pattern is one self-contained task, and only the
+// orchestrating (non-worker) thread waits on futures.
 #pragma once
 
 #include <cstddef>

@@ -259,8 +259,8 @@ std::vector<std::vector<cplx>> DirectBandedBackend::batch_solve_impl(
 
   // Split the batch into one contiguous slice per worker; each slice runs the
   // multi-RHS sweep, so with a single thread the whole batch still shares one
-  // pass over the factors. On a pool worker thread (the datagen solve stage
-  // runs inside TaskQueue workers) nested parallel_for executes serially, so
+  // pass over the factors. On a pool worker thread (datagen pattern tasks
+  // run inside TaskQueue workers) nested parallel_for executes serially, so
   // slicing would degrade to per-RHS factor sweeps — keep the whole batch in
   // one fused sweep there.
   const std::size_t n_slices =

@@ -6,7 +6,7 @@
 // to_band chain) and factorized/solved by the split kernel, which runs >2x
 // faster than the interleaved BandMatrix<cplx> on the FDFD band profile.
 // Every consumer of the solver layer — Simulation, adjoint batches,
-// S-parameter sweeps, the invdes engine, the datagen prep stage — inherits
+// S-parameter sweeps, the invdes engine, the datagen pattern tasks — inherits
 // this path through make_backend/make_cached_backend.
 //
 // SolverPrecision::Mixed swaps the factor storage for the fp32 sibling

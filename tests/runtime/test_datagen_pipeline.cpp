@@ -1,14 +1,17 @@
 // End-to-end datagen pipeline: equivalence with the reference path,
-// shard-merge byte identity, resume after an injected failure, and the
-// multi-fidelity phase lineup.
+// shard-merge byte identity, resume after an injected failure (a kill after
+// a commit, and a solver fault inside a pattern task), worker-count
+// invariance of the saved bytes, and the multi-fidelity phase lineup.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "core/data/generator.hpp"
 #include "runtime/datagen.hpp"
+#include "runtime/fault.hpp"
 
 namespace md = maps::data;
 namespace mdev = maps::devices;
@@ -238,4 +241,64 @@ TEST(DatagenPipeline, MemoryBudgetClampsInflightWindow) {
   rt::generate_pipelined(phases, "budget-ref", wide, nullptr);
   EXPECT_EQ(log_wide.str().find("memory budget"), std::string::npos)
       << log_wide.str();
+}
+
+TEST(DatagenPipeline, SavedBytesDoNotDependOnWorkerCount) {
+  const auto ps = bend_patterns(5, 29);
+  const std::vector<rt::DatagenPhase> phases = {{&bend(), &ps, 1}};
+  const std::string one = tmp_path("workers1.mapsd");
+  const std::string three = tmp_path("workers3.mapsd");
+
+  rt::DatagenOptions opts;
+  opts.workers = 1;
+  rt::generate_pipelined(phases, "bending/random", opts).save(one);
+  opts.workers = 3;
+  rt::generate_pipelined(phases, "bending/random", opts).save(three);
+
+  EXPECT_EQ(slurp(one), slurp(three)) << "commit order depends on the worker count";
+  std::filesystem::remove(one);
+  std::filesystem::remove(three);
+}
+
+TEST(DatagenPipeline, SolverFaultInPatternTaskAbortsThenResumes) {
+  namespace fault = maps::runtime::fault;
+  const auto ps = bend_patterns(6, 31);
+  const std::string name = "bending/random";
+  const std::vector<rt::DatagenPhase> phases = {{&bend(), &ps, 1}};
+  const std::string clean = tmp_path("fault_clean.mapsd");
+  rt::generate_pipelined(phases, name).save(clean);
+
+  const std::string out = tmp_path("fault.mapsd");
+  remove_shard_files(out, 2);
+  fault::disarm_all();  // exactly this spec, whatever the environment armed
+  {
+    // The second factorization of shard 0 (one per bend pattern) throws
+    // inside its pattern task; the run must surface it, not hang or skip.
+    fault::ScopedFaults faults("solver.factorize=throw@nth:2");
+    rt::DatagenOptions opts;
+    opts.shard = {0, 2};
+    EXPECT_THROW(rt::generate_sharded(phases, name, out, opts), maps::MapsError);
+    EXPECT_EQ(fault::total_fires(), 1u);
+  }
+  if (const char* env = std::getenv("MAPS_FAULTS")) {
+    if (env[0] != '\0') fault::arm_from_spec(env);  // restore ambient chaos
+  }
+  EXPECT_FALSE(rt::all_shards_done(out, 2));
+
+  rt::DatagenOptions resume;
+  resume.shard = {0, 2};
+  resume.resume = true;
+  const auto stats = rt::generate_sharded(phases, name, out, resume);
+  EXPECT_EQ(stats.skipped + stats.patterns, 3u);  // shard 0 owns 0, 2, 4
+  EXPECT_GE(stats.patterns, 1u);                  // the failed block re-ran
+
+  rt::DatagenOptions other;
+  other.shard = {1, 2};
+  rt::generate_sharded(phases, name, out, other);
+  ASSERT_TRUE(rt::all_shards_done(out, 2));
+  rt::merge_shards(out, 2);
+  EXPECT_EQ(slurp(clean), slurp(out)) << "merged bytes differ from the clean run";
+
+  remove_shard_files(out, 2);
+  std::filesystem::remove(clean);
 }

@@ -60,57 +60,57 @@ TEST(Fault, UnarmedPointIsSilent) {
 }
 
 TEST(Fault, ThrowActionFiresEveryHit) {
-  FaultGuard guard("x.throw=throw");
+  FaultGuard guard("solver.factorize=throw");
   EXPECT_TRUE(fault::armed());
-  EXPECT_THROW(fault::point("x.throw"), fault::FaultInjected);
-  EXPECT_THROW(fault::point("x.throw"), fault::FaultInjected);
-  EXPECT_FALSE(fault::point("x.other"));  // unarmed sibling unaffected
-  EXPECT_EQ(fires_of("x.throw"), 2u);
-  EXPECT_EQ(hits_of("x.throw"), 2u);
+  EXPECT_THROW(fault::point("solver.factorize"), fault::FaultInjected);
+  EXPECT_THROW(fault::point("solver.factorize"), fault::FaultInjected);
+  EXPECT_FALSE(fault::point("solver.solve"));  // unarmed sibling unaffected
+  EXPECT_EQ(fires_of("solver.factorize"), 2u);
+  EXPECT_EQ(hits_of("solver.factorize"), 2u);
 }
 
 TEST(Fault, FaultInjectedIsAMapsError) {
-  FaultGuard guard("x=throw");
-  EXPECT_THROW(fault::point("x"), maps::MapsError);
+  FaultGuard guard("solver.factorize=throw");
+  EXPECT_THROW(fault::point("solver.factorize"), maps::MapsError);
 }
 
 TEST(Fault, NthTriggerFiresExactlyOnce) {
-  FaultGuard guard("x=throw@nth:3");
-  EXPECT_FALSE(fault::point("x"));
-  EXPECT_FALSE(fault::point("x"));
-  EXPECT_THROW(fault::point("x"), fault::FaultInjected);
-  for (int k = 0; k < 10; ++k) EXPECT_FALSE(fault::point("x"));
-  EXPECT_EQ(fires_of("x"), 1u);
-  EXPECT_EQ(hits_of("x"), 13u);
+  FaultGuard guard("solver.factorize=throw@nth:3");
+  EXPECT_FALSE(fault::point("solver.factorize"));
+  EXPECT_FALSE(fault::point("solver.factorize"));
+  EXPECT_THROW(fault::point("solver.factorize"), fault::FaultInjected);
+  for (int k = 0; k < 10; ++k) EXPECT_FALSE(fault::point("solver.factorize"));
+  EXPECT_EQ(fires_of("solver.factorize"), 1u);
+  EXPECT_EQ(hits_of("solver.factorize"), 13u);
 }
 
 TEST(Fault, EveryTriggerFiresPeriodically) {
-  FaultGuard guard("x=io@every:4");
+  FaultGuard guard("solver.factorize=io@every:4");
   int fired = 0;
   for (int k = 1; k <= 12; ++k) {
-    if (fault::point("x")) ++fired;
+    if (fault::point("solver.factorize")) ++fired;
   }
   EXPECT_EQ(fired, 3);  // hits 4, 8, 12
-  EXPECT_EQ(fires_of("x"), 3u);
+  EXPECT_EQ(fires_of("solver.factorize"), 3u);
 }
 
 TEST(Fault, ProbabilityTriggerIsDeterministic) {
   const auto run = [] {
     std::string pattern;
-    for (int k = 0; k < 64; ++k) pattern += fault::point("x") ? '1' : '0';
+    for (int k = 0; k < 64; ++k) pattern += fault::point("solver.factorize") ? '1' : '0';
     return pattern;
   };
   std::string first, second, other_seed;
   {
-    FaultGuard guard("x=io@p:0.5,seed:7");
+    FaultGuard guard("solver.factorize=io@p:0.5,seed:7");
     first = run();
   }
   {
-    FaultGuard guard("x=io@p:0.5,seed:7");
+    FaultGuard guard("solver.factorize=io@p:0.5,seed:7");
     second = run();
   }
   {
-    FaultGuard guard("x=io@p:0.5,seed:8");
+    FaultGuard guard("solver.factorize=io@p:0.5,seed:8");
     other_seed = run();
   }
   EXPECT_EQ(first, second);  // same seed, same hit order => same sequence
@@ -121,53 +121,72 @@ TEST(Fault, ProbabilityTriggerIsDeterministic) {
 
 TEST(Fault, ProbabilityExtremes) {
   {
-    FaultGuard guard("x=io@p:1");
-    for (int k = 0; k < 8; ++k) EXPECT_TRUE(fault::point("x"));
+    FaultGuard guard("solver.factorize=io@p:1");
+    for (int k = 0; k < 8; ++k) EXPECT_TRUE(fault::point("solver.factorize"));
   }
   {
-    FaultGuard guard("x=io@p:0");
-    for (int k = 0; k < 8; ++k) EXPECT_FALSE(fault::point("x"));
+    FaultGuard guard("solver.factorize=io@p:0");
+    for (int k = 0; k < 8; ++k) EXPECT_FALSE(fault::point("solver.factorize"));
   }
 }
 
 TEST(Fault, StallActionDelays) {
-  FaultGuard guard("x=stall:30@nth:1");
+  FaultGuard guard("solver.factorize=stall:30@nth:1");
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(fault::point("x"));  // stalls, then continues
+  EXPECT_FALSE(fault::point("solver.factorize"));  // stalls, then continues
   const double elapsed =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
           .count();
   EXPECT_GE(elapsed, 25.0);
-  EXPECT_FALSE(fault::point("x"));  // nth:1 already spent: no stall
+  EXPECT_FALSE(fault::point("solver.factorize"));  // nth:1 already spent: no stall
 }
 
 TEST(Fault, MultiEntrySpecAndOverwrite) {
-  FaultGuard guard("a=throw@nth:1;b=io;a=io@every:2");
+  FaultGuard guard(
+      "journal.append=throw@nth:1;journal.compact=io;journal.append=io@every:2");
   // Later entries overwrite earlier ones of the same name.
-  EXPECT_FALSE(fault::point("a"));
-  EXPECT_TRUE(fault::point("a"));
-  EXPECT_TRUE(fault::point("b"));
+  EXPECT_FALSE(fault::point("journal.append"));
+  EXPECT_TRUE(fault::point("journal.append"));
+  EXPECT_TRUE(fault::point("journal.compact"));
 }
 
 TEST(Fault, MalformedSpecsRejectedAtomically) {
   FaultGuard guard("");
   EXPECT_THROW(fault::arm_from_spec("noequals"), maps::MapsError);
-  EXPECT_THROW(fault::arm_from_spec("x="), maps::MapsError);
-  EXPECT_THROW(fault::arm_from_spec("x=explode"), maps::MapsError);
-  EXPECT_THROW(fault::arm_from_spec("x=stall:"), maps::MapsError);
-  EXPECT_THROW(fault::arm_from_spec("x=throw@sometimes"), maps::MapsError);
-  EXPECT_THROW(fault::arm_from_spec("x=throw@nth:0"), maps::MapsError);
-  EXPECT_THROW(fault::arm_from_spec("x=io@p:1.5"), maps::MapsError);
+  EXPECT_THROW(fault::arm_from_spec("solver.factorize="), maps::MapsError);
+  EXPECT_THROW(fault::arm_from_spec("solver.factorize=explode"), maps::MapsError);
+  EXPECT_THROW(fault::arm_from_spec("solver.factorize=stall:"), maps::MapsError);
+  EXPECT_THROW(fault::arm_from_spec("solver.factorize=throw@sometimes"), maps::MapsError);
+  EXPECT_THROW(fault::arm_from_spec("solver.factorize=throw@nth:0"), maps::MapsError);
+  EXPECT_THROW(fault::arm_from_spec("solver.factorize=io@p:1.5"), maps::MapsError);
   // A malformed tail must not leave the valid head armed.
-  EXPECT_THROW(fault::arm_from_spec("ok=throw;bad=?"), maps::MapsError);
+  EXPECT_THROW(fault::arm_from_spec("solver.solve=throw;solver.factorize=?"),
+               maps::MapsError);
   EXPECT_FALSE(fault::armed());
-  EXPECT_FALSE(fault::point("ok"));
+  EXPECT_FALSE(fault::point("solver.solve"));
+}
+
+TEST(Fault, UnknownPointNameRejected) {
+  FaultGuard guard("");
+  // A stale or misspelled name would otherwise arm nothing and let a chaos
+  // run pass without exercising its fault.
+  try {
+    fault::arm_from_spec("serve.tcp.write=throw");
+    FAIL() << "an unregistered point name must be rejected";
+  } catch (const maps::MapsError& e) {
+    EXPECT_NE(std::string(e.what()).find("serve.tcp.write"), std::string::npos)
+        << e.what();
+  }
+  // Rejected atomically: the registered head of the spec does not arm.
+  EXPECT_THROW(fault::arm_from_spec("solver.solve=throw;solver.factorise=throw"),
+               maps::MapsError);
+  EXPECT_FALSE(fault::armed());
 }
 
 TEST(Fault, ScopedFaultsDisarmsOnExit) {
   fault::disarm_all();
   {
-    fault::ScopedFaults scoped("x=throw");
+    fault::ScopedFaults scoped("solver.factorize=throw");
     EXPECT_TRUE(fault::armed());
   }
   EXPECT_FALSE(fault::armed());

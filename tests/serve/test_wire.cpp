@@ -278,7 +278,7 @@ TEST(Wire, StatsJsonCarriesReliabilityBlock) {
   // The per-point fault block appears only when the harness is armed.
   maps::runtime::fault::disarm_all();
   EXPECT_FALSE(serve::stats_to_json(stats).has("faults"));
-  maps::runtime::fault::arm_from_spec("wire.test.point=throw@nth:99");
+  maps::runtime::fault::arm_from_spec("registry.load=throw@nth:99");
   EXPECT_TRUE(serve::stats_to_json(stats).has("faults"));
   maps::runtime::fault::disarm_all();
   if (const char* env = std::getenv("MAPS_FAULTS")) {
