@@ -4,8 +4,6 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "math/parallel.hpp"
-
 namespace maps::math {
 
 bool is_pow2(index_t n) { return n > 0 && (n & (n - 1)) == 0; }
@@ -13,9 +11,8 @@ bool is_pow2(index_t n) { return n > 0 && (n & (n - 1)) == 0; }
 namespace {
 
 // Twiddle cache: per (n, inverse) table of e^{±2pi i k/n}, k < n/2.
-// unordered_map guarantees reference stability of mapped values, so callers
-// may hold the returned reference for a whole transform batch — one mutex
-// round-trip per batch instead of one per FFT line.
+// unordered_map guarantees reference stability of mapped values, so a
+// caller may hold the returned reference for a whole transform.
 const std::vector<cplx>& twiddles(index_t n, bool inverse) {
   static std::mutex mu;
   static std::unordered_map<index_t, std::vector<cplx>> cache[2];
@@ -32,7 +29,8 @@ const std::vector<cplx>& twiddles(index_t n, bool inverse) {
   return slot;
 }
 
-void radix2_with(cplx* a, index_t n, bool inverse, const std::vector<cplx>& tw) {
+void radix2(cplx* a, index_t n, bool inverse) {
+  const std::vector<cplx>& tw = twiddles(n, inverse);
   // Bit-reversal permutation.
   for (index_t i = 1, j = 0; i < n; ++i) {
     index_t bit = n >> 1;
@@ -58,10 +56,6 @@ void radix2_with(cplx* a, index_t n, bool inverse, const std::vector<cplx>& tw) 
   }
 }
 
-void radix2(cplx* a, index_t n, bool inverse) {
-  radix2_with(a, n, inverse, twiddles(n, inverse));
-}
-
 void naive_dft(cplx* a, index_t n, bool inverse) {
   std::vector<cplx> out(static_cast<std::size_t>(n));
   const double sign = inverse ? 1.0 : -1.0;
@@ -78,43 +72,20 @@ void naive_dft(cplx* a, index_t n, bool inverse) {
   for (index_t k = 0; k < n; ++k) a[k] = out[static_cast<std::size_t>(k)] * scale;
 }
 
-/// Twiddle table for a pre-planned batch, or null for the DFT fallback.
-const std::vector<cplx>* table_for(index_t n, bool inverse) {
-  return (n > 1 && is_pow2(n)) ? &twiddles(n, inverse) : nullptr;
-}
-
-void fft_line(cplx* a, index_t n, bool inverse, const std::vector<cplx>* tw) {
+/// One in-place line transform: radix-2 for powers of two, else the DFT.
+void transform(cplx* a, index_t n, bool inverse) {
   if (n <= 1) return;
-  if (tw != nullptr) {
-    radix2_with(a, n, inverse, *tw);
+  if (is_pow2(n)) {
+    radix2(a, n, inverse);
   } else {
     naive_dft(a, n, inverse);
-  }
-}
-
-/// Every column of an (nx, ny) grid, gathered through one reused scratch
-/// buffer (fft_strided would reallocate it per column).
-void fft_columns(cplx* base, index_t nx, index_t ny, bool inverse,
-                 const std::vector<cplx>* tw, std::vector<cplx>& scratch) {
-  scratch.resize(static_cast<std::size_t>(ny));
-  for (index_t i = 0; i < nx; ++i) {
-    cplx* p = base + i;
-    for (index_t j = 0; j < ny; ++j) scratch[static_cast<std::size_t>(j)] = p[j * nx];
-    fft_line(scratch.data(), ny, inverse, tw);
-    for (index_t j = 0; j < ny; ++j) p[j * nx] = scratch[static_cast<std::size_t>(j)];
   }
 }
 
 }  // namespace
 
 void fft_inplace(std::vector<cplx>& x, bool inverse) {
-  const index_t n = static_cast<index_t>(x.size());
-  if (n <= 1) return;
-  if (is_pow2(n)) {
-    radix2(x.data(), n, inverse);
-  } else {
-    naive_dft(x.data(), n, inverse);
-  }
+  transform(x.data(), static_cast<index_t>(x.size()), inverse);
 }
 
 std::vector<cplx> fft(std::vector<cplx> x) {
@@ -127,77 +98,17 @@ std::vector<cplx> ifft(std::vector<cplx> x) {
   return x;
 }
 
-namespace detail {
-void fft_strided(cplx* data, index_t n, index_t stride, bool inverse) {
-  if (stride == 1) {
-    if (is_pow2(n)) {
-      radix2(data, n, inverse);
-    } else {
-      naive_dft(data, n, inverse);
-    }
-    return;
-  }
-  std::vector<cplx> tmp(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) tmp[static_cast<std::size_t>(i)] = data[i * stride];
-  if (is_pow2(n)) {
-    radix2(tmp.data(), n, inverse);
-  } else {
-    naive_dft(tmp.data(), n, inverse);
-  }
-  for (index_t i = 0; i < n; ++i) data[i * stride] = tmp[static_cast<std::size_t>(i)];
-}
-}  // namespace detail
-
 void fft2_inplace(CplxGrid& g, bool inverse) {
   const index_t nx = g.nx(), ny = g.ny();
   if (nx == 0 || ny == 0) return;
-  const std::vector<cplx>* twx = table_for(nx, inverse);
-  const std::vector<cplx>* twy = table_for(ny, inverse);
-  std::vector<cplx> scratch;
-  // Rows (x direction, contiguous), then columns (y direction, stride nx).
-  for (index_t j = 0; j < ny; ++j) fft_line(&g(0, j), nx, inverse, twx);
-  fft_columns(&g(0, 0), nx, ny, inverse, twy, scratch);
-}
-
-void fft2_batch_inplace(std::vector<CplxGrid>& grids, bool inverse) {
-  if (grids.empty()) return;
-  const index_t nx = grids.front().nx(), ny = grids.front().ny();
-  if (nx == 0 || ny == 0) return;
-  for (const auto& g : grids) {
-    require(g.nx() == nx && g.ny() == ny, "fft2_batch_inplace: ragged batch");
+  // Rows (x direction, contiguous), then each column through one buffer.
+  for (index_t j = 0; j < ny; ++j) transform(&g(0, j), nx, inverse);
+  std::vector<cplx> col(static_cast<std::size_t>(ny));
+  for (index_t i = 0; i < nx; ++i) {
+    for (index_t j = 0; j < ny; ++j) col[static_cast<std::size_t>(j)] = g(i, j);
+    transform(col.data(), ny, inverse);
+    for (index_t j = 0; j < ny; ++j) g(i, j) = col[static_cast<std::size_t>(j)];
   }
-  const std::vector<cplx>* twx = table_for(nx, inverse);
-  const std::vector<cplx>* twy = table_for(ny, inverse);
-  parallel_for_chunked(0, grids.size(), [&](std::size_t b, std::size_t e) {
-    std::vector<cplx> scratch;
-    for (std::size_t idx = b; idx < e; ++idx) {
-      CplxGrid& g = grids[idx];
-      for (index_t j = 0; j < ny; ++j) fft_line(&g(0, j), nx, inverse, twx);
-      fft_columns(&g(0, 0), nx, ny, inverse, twy, scratch);
-    }
-  });
-}
-
-void fft1_lines_batch_inplace(std::vector<CplxGrid>& grids, bool along_x,
-                              bool inverse) {
-  if (grids.empty()) return;
-  const index_t nx = grids.front().nx(), ny = grids.front().ny();
-  if (nx == 0 || ny == 0) return;
-  for (const auto& g : grids) {
-    require(g.nx() == nx && g.ny() == ny, "fft1_lines_batch_inplace: ragged batch");
-  }
-  const std::vector<cplx>* tw = table_for(along_x ? nx : ny, inverse);
-  parallel_for_chunked(0, grids.size(), [&](std::size_t b, std::size_t e) {
-    std::vector<cplx> scratch;
-    for (std::size_t idx = b; idx < e; ++idx) {
-      CplxGrid& g = grids[idx];
-      if (along_x) {
-        for (index_t j = 0; j < ny; ++j) fft_line(&g(0, j), nx, inverse, tw);
-      } else {
-        fft_columns(&g(0, 0), nx, ny, inverse, tw, scratch);
-      }
-    }
-  });
 }
 
 CplxGrid fft2(const CplxGrid& g) {

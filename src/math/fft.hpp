@@ -1,4 +1,6 @@
-// Fast Fourier transforms used by the spectral-convolution NN layers.
+// Reference Fourier transforms: the full-spectrum FFTs that the truncated
+// DFT of the spectral-convolution layers (src/nn/spectral.cpp) is tested
+// against, and that BM_Fft2 times.
 //
 // Power-of-two sizes use an iterative radix-2 Cooley-Tukey kernel with cached
 // twiddle tables; other sizes fall back to a correct O(n^2) DFT so callers
@@ -24,29 +26,13 @@ std::vector<cplx> ifft(std::vector<cplx> x);
 CplxGrid fft2(const CplxGrid& g);
 CplxGrid ifft2(const CplxGrid& g);
 
-/// In-place 2D transform (no grid copy; twiddle tables fetched once).
+/// In-place 2D transform (no grid copy).
 void fft2_inplace(CplxGrid& g, bool inverse);
-
-/// Batched in-place 2D transforms over equally-shaped grids. The twiddle /
-/// plan state is fetched once for the whole batch and the independent
-/// transforms are spread across the thread pool — the execution model the
-/// spectral-conv layers use for their (N * C) transform batches.
-void fft2_batch_inplace(std::vector<CplxGrid>& grids, bool inverse);
-
-/// Batched in-place 1D transforms of every line along x (rows) or y
-/// (columns) of each grid — the factorized F-FNO path.
-void fft1_lines_batch_inplace(std::vector<CplxGrid>& grids, bool along_x,
-                              bool inverse);
 
 /// Real-input helper: promotes to complex and runs fft2.
 CplxGrid rfft2(const RealGrid& g);
 
 /// True if the radix-2 fast path applies.
 bool is_pow2(index_t n);
-
-namespace detail {
-/// Strided in-place transform used by fft2 (n elements, step `stride`).
-void fft_strided(cplx* data, index_t n, index_t stride, bool inverse);
-}  // namespace detail
 
 }  // namespace maps::math

@@ -39,7 +39,6 @@ class TaskQueue {
   TaskQueue& operator=(const TaskQueue&) = delete;
 
   std::size_t worker_count() const { return workers_.size(); }
-  std::size_t pending() const;
 
   /// Enqueue fn for asynchronous execution; the returned future delivers
   /// fn's result (or captured exception).
@@ -69,7 +68,7 @@ class TaskQueue {
   void enqueue(std::function<void()> job);
   void worker_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> jobs_;
   std::vector<std::thread> workers_;

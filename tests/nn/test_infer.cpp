@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "math/rng.hpp"
@@ -42,30 +43,47 @@ nn::ModelConfig small_config(nn::ModelKind kind) {
   return cfg;
 }
 
+/// The served surrogate: FNO at 64x64, width 12, 16 modes.
+nn::ModelConfig served_config() {
+  nn::ModelConfig cfg = small_config(nn::ModelKind::Fno);
+  cfg.width = 12;
+  cfg.modes = 16;
+  cfg.depth = 3;
+  return cfg;
+}
+
 TEST(Infer, MatchesForwardBitIdenticalAcrossModels) {
+  std::vector<std::pair<nn::ModelConfig, index_t>> inputs;
   for (const auto kind : {nn::ModelKind::Fno, nn::ModelKind::Ffno,
                           nn::ModelKind::UNetKind, nn::ModelKind::NeurOLight,
                           nn::ModelKind::SParam}) {
-    const auto model = nn::make_model(small_config(kind));
-    const nn::Tensor x = random_input({2, 4, 16, 16}, 7);
+    inputs.emplace_back(small_config(kind), 16);
+  }
+  inputs.emplace_back(served_config(), 64);
+  for (const auto& [cfg, grid] : inputs) {
+    const auto model = nn::make_model(cfg);
+    const nn::Tensor x = random_input({2, 4, grid, grid}, 7);
     const nn::Tensor via_forward = model->forward(x);
     const nn::Tensor via_infer = model->infer(x);
     EXPECT_TRUE(bit_identical(via_forward, via_infer))
-        << "model " << nn::model_name(kind);
+        << "model " << nn::model_name(cfg.kind) << " at " << grid;
   }
 }
 
 TEST(Infer, StackedBatchMatchesPerSample) {
-  const auto model = nn::make_model(small_config(nn::ModelKind::Fno));
-  std::vector<nn::Tensor> inputs;
-  for (unsigned k = 0; k < 5; ++k) {
-    inputs.push_back(random_input({1, 4, 16, 16}, 100 + k));
-  }
-  const auto batched = nn::infer_batch(*model, inputs);
-  ASSERT_EQ(batched.size(), inputs.size());
-  for (std::size_t k = 0; k < inputs.size(); ++k) {
-    const nn::Tensor single = model->infer(inputs[k]);
-    EXPECT_TRUE(bit_identical(batched[k], single)) << "sample " << k;
+  for (const auto& [cfg, grid] : {std::pair{small_config(nn::ModelKind::Fno), index_t{16}},
+                                  std::pair{served_config(), index_t{64}}}) {
+    const auto model = nn::make_model(cfg);
+    std::vector<nn::Tensor> inputs;
+    for (unsigned k = 0; k < 5; ++k) {
+      inputs.push_back(random_input({1, 4, grid, grid}, 100 + k));
+    }
+    const auto batched = nn::infer_batch(*model, inputs);
+    ASSERT_EQ(batched.size(), inputs.size());
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      const nn::Tensor single = model->infer(inputs[k]);
+      EXPECT_TRUE(bit_identical(batched[k], single)) << "sample " << k << " at " << grid;
+    }
   }
 }
 

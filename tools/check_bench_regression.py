@@ -3,11 +3,12 @@
 
 Compares freshly emitted bench results against the committed repo-root
 baselines and fails if any tracked *ratio* metric regresses by more than a
-tolerance. Only ratios are gated: each one divides two timings measured in
-the same run on the same machine, so it is stable across runner generations,
-while absolute times (which vary wildly between runners) stay informational.
+tolerance. Only ratios are gated: each one divides two timings (or, for
+serve_coalesced_vs_stampede, two work counts) measured in the same run on
+the same machine, so it is stable across runner generations, while absolute
+times (which vary wildly between runners) stay informational.
 
-Tracked ratios:
+Tracked ratios (all timings except serve_coalesced_vs_stampede):
   speedup_pipelined_vs_sequential   pipelined datagen over the seed
                                     parallel_for baseline
                                     (BENCH_datagen_throughput.json)
@@ -35,9 +36,11 @@ Tracked ratios:
                                     (BENCH_speedup.json)
   serve_coalesced_vs_stampede       in-flight request coalescing over N
                                     identical cache-missing queries racing
-                                    each other (BENCH_speedup.json; the
-                                    coalesced run pays one surrogate forward
-                                    where the stampede pays N)
+                                    each other (BENCH_speedup.json): the
+                                    surrogate samples run per wave, N without
+                                    coalescing over 1 with it — a count, not
+                                    a time, because the coalesced wave waits
+                                    out the batcher's fixed flush deadline
   serve_obs_overhead                observability disabled over fully
                                     instrumented (metrics + per-request
                                     traces) on the coalesced stampede
@@ -102,6 +105,19 @@ def ratio_from_benchmarks(doc, numerator, denominator):
     return num / den
 
 
+def ratio_from_counters(doc, numerator, denominator, counter):
+    """numerator's counter / denominator's counter, for a user counter that
+    shrinks as the denominator benchmark gets better; bigger is better."""
+    if doc is None:
+        return None
+    values = {b.get("name"): b.get(counter) for b in doc.get("benchmarks", [])}
+    num = values.get(numerator)
+    den = values.get(denominator)
+    if num is None or den is None or den <= 0:
+        return None
+    return num / den
+
+
 def ratio_from_key(doc, key):
     if doc is None:
         return None
@@ -154,8 +170,9 @@ TRACKED = [
     {
         "name": "serve_coalesced_vs_stampede",
         "file": "BENCH_speedup.json",
-        "ratio": lambda doc: ratio_from_benchmarks(
-            doc, "BM_ServeStampede", "BM_ServeStampedeCoalesced"),
+        "ratio": lambda doc: ratio_from_counters(
+            doc, "BM_ServeStampede", "BM_ServeStampedeCoalesced",
+            "surrogate_samples_per_wave"),
     },
     {
         "name": "serve_obs_overhead",
